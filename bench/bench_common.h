@@ -62,8 +62,7 @@ inline Fixture& GetFixture(const workload::InexOptions& opts) {
   return *it->second;
 }
 
-/// View + keywords through the unified entry point (the benches measure
-/// the same pipeline the old SearchView wrapper delegated to).
+/// View + keywords through the unified entry point.
 inline Result<engine::SearchResponse> ExecuteView(
     const engine::ViewSearchEngine& engine, const std::string& view,
     const std::vector<std::string>& keywords,

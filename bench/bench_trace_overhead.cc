@@ -65,14 +65,7 @@ TraceOverheadFixture& GetTraceOverheadFixture() {
 }
 
 std::vector<engine::ShardContext> Contexts() {
-  const storage::ShardSet& set = *GetTraceOverheadFixture().shard_set;
-  std::vector<engine::ShardContext> contexts;
-  for (size_t i = 0; i < set.size(); ++i) {
-    const storage::Shard& shard = set.shard(i);
-    contexts.push_back(engine::ShardContext{
-        shard.database.get(), shard.index_source(), shard.store.get()});
-  }
-  return contexts;
+  return engine::ShardContexts(*GetTraceOverheadFixture().shard_set);
 }
 
 engine::SearchRequest MakeRequest() {

@@ -27,8 +27,9 @@ namespace quickview::engine {
 
 /// Ranked keyword search over a monotone selection view, skipping view
 /// evaluation entirely. Produces exactly the hits (same scores, same
-/// order) ViewSearchEngine::SearchView would. Returns Unsupported when
-/// the view is outside the monotone sub-class.
+/// order) ViewSearchEngine::Execute would for the same view and
+/// keywords. Returns Unsupported when the view is outside the monotone
+/// sub-class.
 Result<SearchResponse> RankedSelectionSearch(
     const xml::Database& database, const index::DatabaseIndexes& indexes,
     const storage::DocumentStore* store, const std::string& view_text,

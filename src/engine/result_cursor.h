@@ -141,8 +141,7 @@ class ResultCursor {
 /// plus the cursor's cumulative timings and stats (the legacy flat pair,
 /// taken from EngineStats). On a fresh cursor this reproduces the
 /// batch-pipeline output byte for byte at any shard count — it is the
-/// compatibility path under Execute / SearchBatch and the deprecated
-/// trio.
+/// path under Execute and SearchBatch.
 Result<SearchResponse> DrainToResponse(ResultCursor* cursor);
 
 }  // namespace quickview::engine

@@ -1,12 +1,11 @@
 // SearchRequest: the one request object behind the unified search entry
 // point ViewSearchEngine::Open(request) (and QueryService::OpenSearch).
-// It subsumes the old Search / SearchView / ExecutePrepared trio: a
-// request carries either a full Fig-2 keyword query or a view plus
+// A request carries either a full Fig-2 keyword query or a view plus
 // keyword list, the ranking options, an optional shard routing hint, an
 // optional deadline, and an optional caller-owned cancellation token.
 // Validation lives in ONE place — Validate(), called once at Open — so
-// the per-entry-point drift the old trio accumulated (top_k checked in
-// one place, empty keywords in another) cannot recur.
+// no entry point can check top_k or empty keywords differently from
+// another.
 #ifndef QUICKVIEW_ENGINE_SEARCH_REQUEST_H_
 #define QUICKVIEW_ENGINE_SEARCH_REQUEST_H_
 

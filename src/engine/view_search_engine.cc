@@ -120,6 +120,17 @@ ViewSearchEngine::ViewSearchEngine(std::vector<ShardContext> shards,
   assert(!shards_.empty());
 }
 
+std::vector<ShardContext> ShardContexts(const storage::ShardSet& shards) {
+  std::vector<ShardContext> contexts;
+  contexts.reserve(shards.size());
+  for (size_t i = 0; i < shards.size(); ++i) {
+    const storage::Shard& shard = shards.shard(i);
+    contexts.push_back(ShardContext{shard.database.get(), shard.index_source(),
+                                    shard.store.get()});
+  }
+  return contexts;
+}
+
 std::string PlanSignature(const std::vector<qpt::Qpt>& qpts,
                           const std::vector<std::string>& keywords,
                           bool conjunctive) {
@@ -345,19 +356,12 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::FinalizeCursor(
 
 Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
     const SearchRequest& request) const {
-  return OpenImpl(request, {});
+  return Open(request, {});
 }
 
 Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
     const SearchRequest& request,
     std::vector<std::shared_ptr<const PreparedQuery>> prepared) const {
-  return OpenImpl(request, prepared);
-}
-
-Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::OpenImpl(
-    const SearchRequest& request,
-    const std::vector<std::shared_ptr<const PreparedQuery>>& prepared)
-    const {
   QV_RETURN_IF_ERROR(request.Validate());
   if (request.shard >= shard_count()) {
     return Status::InvalidArgument(
@@ -521,50 +525,9 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
 
 Result<SearchResponse> ViewSearchEngine::Execute(
     const SearchRequest& request) const {
-  return ExecuteImpl(request);
-}
-
-Result<SearchResponse> ViewSearchEngine::ExecuteImpl(
-    const SearchRequest& request) const {
   QUICKVIEW_ASSIGN_OR_RETURN(std::unique_ptr<ResultCursor> cursor,
-                             OpenImpl(request, {}));
+                             Open(request));
   return DrainToResponse(cursor.get());
-}
-
-Result<SearchResponse> ViewSearchEngine::ExecutePreparedImpl(
-    std::shared_ptr<const PreparedQuery> prepared,
-    const SearchOptions& options) const {
-  QUICKVIEW_ASSIGN_OR_RETURN(std::unique_ptr<ResultCursor> cursor,
-                             Open(std::move(prepared), options));
-  return DrainToResponse(cursor.get());
-}
-
-Result<SearchResponse> ViewSearchEngine::ExecutePrepared(
-    std::shared_ptr<const PreparedQuery> prepared,
-    const SearchOptions& options) const {
-  return ExecutePreparedImpl(std::move(prepared), options);
-}
-
-Result<SearchResponse> ViewSearchEngine::Search(
-    const std::string& query, const SearchOptions& options) const {
-  SearchRequest request;
-  request.query = query;
-  request.options = options;
-  return ExecuteImpl(request);
-}
-
-Result<SearchResponse> ViewSearchEngine::SearchView(
-    const std::string& view_text, const std::vector<std::string>& keywords,
-    const SearchOptions& options) const {
-  if (keywords.empty()) {
-    return Status::InvalidArgument(
-        "SearchView requires a non-empty keyword list");
-  }
-  SearchRequest request;
-  request.view = view_text;
-  request.keywords = keywords;
-  request.options = options;
-  return ExecuteImpl(request);
 }
 
 }  // namespace quickview::engine

@@ -23,8 +23,6 @@
 //   Open            evaluation + scoring + ranked merge, returning a
 //                   ResultCursor. Hits are materialized lazily, per
 //                   ResultCursor::FetchNext call, shard by shard.
-// The historical Search / SearchView / ExecutePrepared trio survives as
-// thin [[deprecated]] wrappers with byte-identical behavior.
 #ifndef QUICKVIEW_ENGINE_VIEW_SEARCH_ENGINE_H_
 #define QUICKVIEW_ENGINE_VIEW_SEARCH_ENGINE_H_
 
@@ -39,6 +37,7 @@
 #include "index/index_builder.h"
 #include "pdt/generate_pdt.h"
 #include "storage/document_store.h"
+#include "storage/shard_set.h"
 #include "xml/dom.h"
 #include "xquery/ast.h"
 
@@ -111,6 +110,9 @@ struct ShardContext {
   const storage::DocumentStore* store = nullptr;
 };
 
+/// One context per shard of `shards`, in corpus order.
+std::vector<ShardContext> ShardContexts(const storage::ShardSet& shards);
+
 class ResultCursor;  // engine/result_cursor.h
 
 class ViewSearchEngine {
@@ -179,41 +181,11 @@ class ViewSearchEngine {
       std::shared_ptr<const PreparedQuery> prepared,
       const SearchOptions& options) const;
 
-  /// Compatibility wrapper for the full Fig-2-style query: plans, builds
-  /// PDTs, opens and drains. Byte-identical to Execute() with
-  /// SearchRequest{.query = query, .options = options}.
-  [[deprecated("build a SearchRequest and call Execute(request)")]]
-  Result<SearchResponse> Search(const std::string& query,
-                                const SearchOptions& options) const;
-
-  /// Compatibility wrapper for view text + keywords. Byte-identical to
-  /// Execute() with SearchRequest{.view = view_text, .keywords =
-  /// keywords, .options = options}.
-  [[deprecated("build a SearchRequest and call Execute(request)")]]
-  Result<SearchResponse> SearchView(const std::string& view_text,
-                                    const std::vector<std::string>& keywords,
-                                    const SearchOptions& options) const;
-
-  /// Compatibility wrapper: Open(prepared, options) + drain.
-  [[deprecated(
-      "call Open(request, prepared) and drain, or Execute(request)")]]
-  Result<SearchResponse> ExecutePrepared(
-      std::shared_ptr<const PreparedQuery> prepared,
-      const SearchOptions& options) const;
-
   int shard_count() const { return static_cast<int>(shards_.size()); }
 
  private:
   struct ShardEval;  // one shard's evaluation product (defined in .cc)
 
-  Result<std::unique_ptr<ResultCursor>> OpenImpl(
-      const SearchRequest& request,
-      const std::vector<std::shared_ptr<const PreparedQuery>>& prepared)
-      const;
-  Result<SearchResponse> ExecuteImpl(const SearchRequest& request) const;
-  Result<SearchResponse> ExecutePreparedImpl(
-      std::shared_ptr<const PreparedQuery> prepared,
-      const SearchOptions& options) const;
   Result<std::shared_ptr<const PreparedQuery>> BuildPdtsImpl(
       QueryPlan plan, int shard, const CancellationToken* cancel) const;
   Result<ShardEval> EvaluateShard(

@@ -249,14 +249,7 @@ Result<std::unique_ptr<engine::ResultCursor>>
 QueryService::PrepareShardedCursor(const BatchQuery& query) {
   QUICKVIEW_ASSIGN_OR_RETURN(ViewSnapshot view, SnapshotView(query.view));
 
-  std::vector<engine::ShardContext> contexts;
-  contexts.reserve(shards_->size());
-  for (size_t i = 0; i < shards_->size(); ++i) {
-    const storage::Shard& shard = shards_->shard(i);
-    contexts.push_back(engine::ShardContext{
-        shard.database.get(), shard.index_source(), shard.store.get()});
-  }
-  engine::ViewSearchEngine engine(std::move(contexts), &pool_);
+  engine::ViewSearchEngine engine(engine::ShardContexts(*shards_), &pool_);
 
   engine::SearchRequest request;
   request.view = view.text;

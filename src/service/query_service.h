@@ -32,7 +32,7 @@
 //  - cached PreparedQuery bundles are immutable and reference-counted,
 //    so eviction never invalidates an executing query.
 // Results are deterministic: a batch returns, per query, exactly the
-// response a serial ViewSearchEngine::SearchView call would produce
+// response a serial ViewSearchEngine::Execute call would produce
 // against the same corpus state (timings aside).
 #ifndef QUICKVIEW_SERVICE_QUERY_SERVICE_H_
 #define QUICKVIEW_SERVICE_QUERY_SERVICE_H_

@@ -1,7 +1,10 @@
 // quickview command-line interface.
 //
 //   quickview_cli index <xml-file>... --out <db-dir>
-//       Parse the XML files, build path + inverted indices, persist both.
+//       Parse the XML files and write them as a database directory (a
+//       manifest plus one file per document). Indexes are not stored
+//       there: every command that opens the directory builds them, and
+//       `pack` persists them in a .qvpack file.
 //   quickview_cli search <db-dir> --view <file> --keywords k1,k2 [--top N]
 //       [--any]
 //       Ranked keyword search over the virtual view (conjunctive by
@@ -12,8 +15,8 @@
 //       Generate the paper's books/reviews example and run its Fig 2
 //       query end to end.
 //   quickview_cli pack <db-dir> <file.qvpack>   (or: pack --demo <file>)
-//       Pack a persisted database directory (or the built-in demo
-//       corpus) plus its indices into a single paged .qvpack file:
+//       Pack a database directory (or the built-in demo corpus) plus
+//       its indices into a single paged .qvpack file:
 //       node-record pages, B-tree-node pages and posting runs that
 //       serve/page read lazily through a buffer pool.
 //       With --shards N (output <file.qvset>) the corpus is partitioned
@@ -62,13 +65,15 @@
 //       (insert/tombstone), document name and payload size — plus
 //       whether recovery dropped a torn tail. Read-only: the log file
 //       is not modified, even when torn.
+//
+// Every command that reads a corpus opens it through service::OpenBackend,
+// so the source flags (--demo, --frames, --shards, --colocate) mean what
+// they mean in quickview_server, and contradictory ones fail: --demo with
+// a source, --shards over a packed source, --colocate without --shards.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -76,27 +81,22 @@
 #include "engine/base_search.h"
 #include "engine/result_cursor.h"
 #include "engine/view_search_engine.h"
-#include "index/index_builder.h"
+#include "obs/trace.h"
 #include "pagestore/delta_log.h"
 #include "pagestore/pack.h"
-#include "pagestore/packed_db.h"
 #include "pagestore/shard_pack.h"
-#include "obs/trace.h"
+#include "service/backend.h"
 #include "service/query_service.h"
-#include "storage/document_store.h"
 #include "storage/persistence.h"
-#include "storage/shard_set.h"
-#include "workload/bookrev_generator.h"
+#include "tool_common.h"
 #include "xml/parser.h"
 
 namespace {
 
 using namespace quickview;
-
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
+using tools::Fail;
+using tools::ParseCount;
+using tools::ReadFile;
 
 int Usage() {
   std::fprintf(stderr,
@@ -128,36 +128,21 @@ int Usage() {
 
 struct Flags {
   std::vector<std::string> positional;
+  /// Source flags (--demo, --frames, --shards, --colocate); the source
+  /// path itself is positional (see CorpusSpec).
+  service::BackendSpec corpus;
   std::string out;
   std::string view;
   std::vector<std::string> keywords;
   size_t top_k = 10;
   bool any = false;
-  bool demo = false;
   int threads = 0;  // 0 = hardware concurrency
   int repeat = 1;   // serve: replicate the stdin batch N times
   size_t page = 0;  // cursor page size; 0 = whole-batch responses
-  size_t frames = 256;     // buffer-pool frame budget for .qvpack mode
   long long deadline_ms = 0;  // per-query deadline; 0 = none
   bool demo_view = false;  // use the built-in books/reviews view text
-  int shards = 0;          // 0 = unsharded; N >= 1 partitions the corpus
-  std::string colocate;    // join-key tag for shard co-location
   bool trace = false;      // serve: print per-query span-tree breakdowns
 };
-
-/// Strict non-negative integer parse; false on junk or overflow (flag
-/// values must not crash the process via std::stoi exceptions).
-bool ParseCount(const char* text, long long max_value, long long* out) {
-  if (text == nullptr || *text == '\0') return false;
-  long long value = 0;
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') return false;
-    value = value * 10 + (*p - '0');
-    if (value > max_value) return false;
-  }
-  *out = value;
-  return true;
-}
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
   for (int i = 2; i < argc; ++i) {
@@ -189,7 +174,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--any") {
       flags->any = true;
     } else if (arg == "--demo") {
-      flags->demo = true;
+      flags->corpus.demo = true;
     } else if (arg == "--threads") {
       const char* v = next();
       long long value = 0;
@@ -209,7 +194,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       const char* v = next();
       long long value = 0;
       if (!ParseCount(v, 1 << 24, &value) || value == 0) return false;
-      flags->frames = static_cast<size_t>(value);
+      flags->corpus.frames = static_cast<size_t>(value);
     } else if (arg == "--deadline-ms") {
       const char* v = next();
       if (!ParseCount(v, 1 << 30, &flags->deadline_ms)) return false;
@@ -221,11 +206,11 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       const char* v = next();
       long long value = 0;
       if (!ParseCount(v, 4096, &value) || value == 0) return false;
-      flags->shards = static_cast<int>(value);
+      flags->corpus.shards = static_cast<int>(value);
     } else if (arg == "--colocate") {
       const char* v = next();
       if (v == nullptr) return false;
-      flags->colocate = v;
+      flags->corpus.colocate = v;
     } else {
       flags->positional.push_back(std::move(arg));
     }
@@ -233,17 +218,25 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
   return true;
 }
 
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream content;
-  content << in.rdbuf();
-  return content.str();
-}
-
 std::string BaseName(const std::string& path) {
   size_t slash = path.find_last_of('/');
   return slash == std::string::npos ? path : path.substr(slash + 1);
+}
+
+/// The corpus a command reads: the source flags, with the first
+/// positional argument (when present) as the source path.
+service::BackendSpec CorpusSpec(const Flags& flags) {
+  service::BackendSpec spec = flags.corpus;
+  if (!flags.positional.empty()) spec.source = flags.positional[0];
+  return spec;
+}
+
+/// service::OpenBackend, printing what it opened.
+Result<service::Backend> OpenCorpus(const service::BackendSpec& spec) {
+  QUICKVIEW_ASSIGN_OR_RETURN(service::Backend backend,
+                             service::OpenBackend(spec));
+  std::fputs(backend.summary.c_str(), stdout);
+  return backend;
 }
 
 int CmdIndex(const Flags& flags) {
@@ -257,11 +250,9 @@ int CmdIndex(const Flags& flags) {
     db.AddDocument(BaseName(file), *doc);
     std::printf("loaded %s (%zu elements)\n", file.c_str(), (*doc)->size());
   }
-  auto indexes = index::BuildDatabaseIndexes(db);
   Status s = storage::SaveDatabase(db, flags.out);
-  if (s.ok()) s = storage::SaveIndexes(db, *indexes, flags.out);
   if (!s.ok()) return Fail(s);
-  std::printf("database + indices written to %s\n", flags.out.c_str());
+  std::printf("database written to %s\n", flags.out.c_str());
   return 0;
 }
 
@@ -270,19 +261,11 @@ int CmdSearch(const Flags& flags) {
       flags.keywords.empty()) {
     return Usage();
   }
-  auto db = storage::LoadDatabase(flags.positional[0]);
-  if (!db.ok()) return Fail(db.status());
-  auto indexes = storage::LoadIndexes(**db, flags.positional[0]);
-  std::unique_ptr<index::DatabaseIndexes> built;
-  if (!indexes.ok()) {
-    std::printf("no serialized indices, rebuilding...\n");
-    built = index::BuildDatabaseIndexes(**db);
-  }
-  index::DatabaseIndexes* idx = indexes.ok() ? indexes->get() : built.get();
   auto view_text = ReadFile(flags.view);
   if (!view_text.ok()) return Fail(view_text.status());
-  storage::DocumentStore store(**db);
-  engine::ViewSearchEngine engine(db->get(), idx, &store);
+  auto backend = OpenCorpus(CorpusSpec(flags));
+  if (!backend.ok()) return Fail(backend.status());
+  engine::ViewSearchEngine engine(backend->ShardContexts());
   engine::SearchRequest request;
   request.view = *view_text;
   request.keywords = flags.keywords;
@@ -307,17 +290,18 @@ int CmdBaseSearch(const Flags& flags) {
   if (flags.positional.size() != 1 || flags.keywords.empty()) {
     return Usage();
   }
-  auto db = storage::LoadDatabase(flags.positional[0]);
-  if (!db.ok()) return Fail(db.status());
-  auto indexes = storage::LoadIndexes(**db, flags.positional[0]);
-  std::unique_ptr<index::DatabaseIndexes> built;
-  if (!indexes.ok()) built = index::BuildDatabaseIndexes(**db);
-  index::DatabaseIndexes* idx = indexes.ok() ? indexes->get() : built.get();
+  auto backend = OpenCorpus(CorpusSpec(flags));
+  if (!backend.ok()) return Fail(backend.status());
+  if (backend->indexes == nullptr) {
+    return Fail(Status::InvalidArgument(
+        "basesearch needs an unsharded in-memory corpus (a database "
+        "directory or --demo)"));
+  }
   engine::BaseSearchOptions options;
   options.top_k = flags.top_k;
   options.conjunctive = !flags.any;
-  auto hits = engine::SearchBaseDocuments(**db, *idx, flags.keywords,
-                                          options);
+  auto hits = engine::SearchBaseDocuments(*backend->db, *backend->indexes,
+                                          flags.keywords, options);
   if (!hits.ok()) return Fail(hits.status());
   for (size_t i = 0; i < hits->size(); ++i) {
     std::printf("#%zu score=%.4f %s %s\n%s\n", i + 1, (*hits)[i].score,
@@ -328,10 +312,9 @@ int CmdBaseSearch(const Flags& flags) {
 }
 
 int CmdDemo() {
-  auto db = workload::GenerateBookRevDatabase(workload::BookRevOptions{});
-  auto indexes = index::BuildDatabaseIndexes(*db);
-  storage::DocumentStore store(*db);
-  engine::ViewSearchEngine engine(db.get(), indexes.get(), &store);
+  auto backend = service::OpenBackend(service::BackendSpec{});
+  if (!backend.ok()) return Fail(backend.status());
+  engine::ViewSearchEngine engine(backend->ShardContexts());
   std::printf("query:\n%s\n\n", workload::BookRevKeywordQuery().c_str());
   engine::SearchRequest request;
   request.query = workload::BookRevKeywordQuery();
@@ -344,126 +327,10 @@ int CmdDemo() {
   return 0;
 }
 
-/// True for paths that name a packed single-file database.
-bool IsPackedPath(const std::string& path) {
-  constexpr std::string_view kSuffix = ".qvpack";
-  return path.size() > kSuffix.size() &&
-         path.compare(path.size() - kSuffix.size(), kSuffix.size(),
-                      kSuffix) == 0;
-}
-
-/// True for paths that name a sharded pack-set manifest.
-bool IsShardSetPath(const std::string& path) {
-  constexpr std::string_view kSuffix = ".qvset";
-  return path.size() > kSuffix.size() &&
-         path.compare(path.size() - kSuffix.size(), kSuffix.size(),
-                      kSuffix) == 0;
-}
-
-/// The corpus a serve/page run executes over: in-memory structures, or a
-/// packed .qvpack file whose pages are pulled on demand through a
-/// bounded buffer pool.
-struct Backend {
-  std::shared_ptr<xml::Database> db;                // in-memory mode
-  std::unique_ptr<index::DatabaseIndexes> indexes;  // in-memory mode
-  std::shared_ptr<pagestore::PackedDb> packed;      // packed mode
-  std::unique_ptr<storage::DocumentStore> store;
-  /// Sharded mode: a .qvset shard set, or an in-memory partition made
-  /// with --shards N. Queries fan out per shard and merge lazily.
-  std::unique_ptr<storage::ShardSet> shards;
-
-  const xml::Database* database() const { return db.get(); }
-  const index::IndexSource* index_source() const {
-    if (packed != nullptr) {
-      return static_cast<const index::IndexSource*>(packed.get());
-    }
-    return static_cast<const index::IndexSource*>(indexes.get());
-  }
-
-  /// Shard execution contexts in corpus order (one per shard).
-  std::vector<engine::ShardContext> ShardContexts() const {
-    std::vector<engine::ShardContext> contexts;
-    contexts.reserve(shards->size());
-    for (size_t i = 0; i < shards->size(); ++i) {
-      const storage::Shard& shard = shards->shard(i);
-      contexts.push_back(engine::ShardContext{
-          shard.database.get(), shard.index_source(), shard.store.get()});
-    }
-    return contexts;
-  }
-};
-
-/// `source` is a db directory, a .qvpack path, or empty with
-/// flags.demo for the built-in corpus.
-Result<Backend> OpenBackend(const Flags& flags, const std::string& source) {
-  Backend backend;
-  if (!flags.demo && IsShardSetPath(source)) {
-    QUICKVIEW_ASSIGN_OR_RETURN(
-        storage::ShardSet set,
-        storage::ShardSet::OpenPacked(source, flags.frames));
-    backend.shards = std::make_unique<storage::ShardSet>(std::move(set));
-    std::printf("opened %s: %zu shards, %zu-frame pool total\n",
-                source.c_str(), backend.shards->size(), flags.frames);
-    return backend;
-  }
-  if (flags.demo) {
-    backend.db = workload::GenerateBookRevDatabase(workload::BookRevOptions{});
-    backend.indexes = index::BuildDatabaseIndexes(*backend.db);
-  } else if (IsPackedPath(source)) {
-    pagestore::BufferPoolOptions pool;
-    pool.frames = flags.frames;
-    QUICKVIEW_ASSIGN_OR_RETURN(backend.packed,
-                               pagestore::PackedDb::Open(source, pool));
-    backend.store =
-        std::make_unique<storage::DocumentStore>(backend.packed);
-    std::printf("opened %s: %u pages, %zu documents, %zu-frame pool\n",
-                source.c_str(), backend.packed->file().page_count(),
-                backend.packed->document_names().size(), flags.frames);
-    const pagestore::PackedDb::DeltaStats& delta =
-        backend.packed->delta_stats();
-    if (delta.inserts + delta.tombstones != 0) {
-      std::printf(
-          "delta log: %llu inserts, %llu tombstones applied "
-          "(%zu overlay documents, %zu packed documents masked)\n",
-          static_cast<unsigned long long>(delta.inserts),
-          static_cast<unsigned long long>(delta.tombstones),
-          delta.overlay_documents, delta.masked_base_documents);
-    }
-    return backend;
-  } else {
-    QUICKVIEW_ASSIGN_OR_RETURN(backend.db, storage::LoadDatabase(source));
-    auto persisted = storage::LoadIndexes(*backend.db, source);
-    if (persisted.ok()) {
-      backend.indexes = std::move(*persisted);
-    } else {
-      std::printf("no serialized indices, rebuilding...\n");
-      backend.indexes = index::BuildDatabaseIndexes(*backend.db);
-    }
-  }
-  backend.store = std::make_unique<storage::DocumentStore>(*backend.db);
-  // --shards N over an in-memory corpus: partition it into N
-  // self-contained shards (the unsharded structures stay around for
-  // side-by-side comparison output).
-  if (flags.shards > 0) {
-    storage::ShardingSpec spec;
-    spec.shards = flags.shards;
-    spec.colocate_tag = flags.colocate;
-    QUICKVIEW_ASSIGN_OR_RETURN(storage::ShardSet set,
-                               storage::ShardSet::Partition(*backend.db, spec));
-    backend.shards = std::make_unique<storage::ShardSet>(std::move(set));
-    std::string colocated =
-        flags.colocate.empty() ? std::string()
-                               : " (colocated by <" + flags.colocate + ">)";
-    std::printf("partitioned corpus into %d shards%s\n", flags.shards,
-                colocated.c_str());
-  }
-  return backend;
-}
-
 /// The end-of-run stats block (serve and page): per-store fetch totals,
 /// and — for packed databases — the buffer-pool picture. This is what
 /// bench and CI artifacts eyeball instead of a debugger.
-void PrintStorageStats(const Backend& backend) {
+void PrintStorageStats(const service::Backend& backend) {
   if (backend.shards != nullptr) {
     for (size_t i = 0; i < backend.shards->size(); ++i) {
       storage::DocumentStore::Stats s = backend.shards->shard(i).store->stats();
@@ -503,37 +370,37 @@ void PrintStorageStats(const Backend& backend) {
 int CmdPack(const Flags& flags) {
   // pack --demo <out.qvpack>  |  pack <db-dir> <out.qvpack>
   // pack ... <out.qvset> --shards N [--colocate tag]
-  size_t expected = flags.demo ? 1 : 2;
+  size_t expected = flags.corpus.demo ? 1 : 2;
   if (flags.positional.size() != expected) return Usage();
   const std::string& out = flags.positional.back();
-  const bool sharded = flags.shards > 0 || IsShardSetPath(out);
-  if (sharded && !IsShardSetPath(out)) {
+  const bool sharded = flags.corpus.shards > 0 || service::IsShardSetPath(out);
+  if (sharded && !service::IsShardSetPath(out)) {
     std::fprintf(stderr, "pack --shards: output must end in .qvset\n");
     return 2;
   }
-  if (!sharded && !IsPackedPath(out)) {
+  if (!sharded && !service::IsPackPath(out)) {
     std::fprintf(stderr, "pack: output must end in .qvpack\n");
     return 2;
   }
-  std::string source = flags.demo ? std::string() : flags.positional[0];
-  if (IsPackedPath(source) || IsShardSetPath(source)) {
+  // --shards/--colocate shape the output here; the in-memory input is
+  // opened whole and partitioned on the way to disk.
+  service::BackendSpec input;
+  input.demo = flags.corpus.demo;
+  if (!input.demo) input.source = flags.positional[0];
+  if (service::IsPackPath(input.source) ||
+      service::IsShardSetPath(input.source)) {
     std::fprintf(stderr,
                  "pack: input must be a database directory (or --demo), "
                  "not an already-packed file\n");
     return 2;
   }
-
-  // Keep OpenBackend from partitioning in memory — the sharded pack
-  // path partitions itself on the way to disk.
-  Flags backend_flags = flags;
-  backend_flags.shards = 0;
-  auto backend = OpenBackend(backend_flags, source);
+  auto backend = service::OpenBackend(input);
   if (!backend.ok()) return Fail(backend.status());
 
   if (sharded) {
     storage::ShardingSpec spec;
-    spec.shards = std::max(1, flags.shards);
-    spec.colocate_tag = flags.colocate;
+    spec.shards = std::max(1, flags.corpus.shards);
+    spec.colocate_tag = flags.corpus.colocate;
     Status packed = pagestore::PackShardedDb(*backend->db, spec, out);
     if (!packed.ok()) return Fail(packed);
     std::printf("packed %zu documents into %d shards under %s:\n",
@@ -569,7 +436,7 @@ int CmdAppend(const Flags& flags) {
   if (flags.positional.size() != 3) return Usage();
   const std::string& pack = flags.positional[0];
   const std::string& name = flags.positional[1];
-  if (!IsPackedPath(pack)) {
+  if (!service::IsPackPath(pack)) {
     std::fprintf(stderr, "append: first argument must be a .qvpack file\n");
     return 2;
   }
@@ -586,7 +453,7 @@ int CmdTombstone(const Flags& flags) {
   if (flags.positional.size() != 2) return Usage();
   const std::string& pack = flags.positional[0];
   const std::string& name = flags.positional[1];
-  if (!IsPackedPath(pack)) {
+  if (!service::IsPackPath(pack)) {
     std::fprintf(stderr,
                  "tombstone: first argument must be a .qvpack file\n");
     return 2;
@@ -633,7 +500,7 @@ int CmdCompact(const Flags& flags) {
   if (flags.positional.size() != 2) return Usage();
   const std::string& in = flags.positional[0];
   const std::string& out = flags.positional[1];
-  if (!IsPackedPath(in) || !IsPackedPath(out)) {
+  if (!service::IsPackPath(in) || !service::IsPackPath(out)) {
     std::fprintf(stderr, "compact: both arguments must be .qvpack files\n");
     return 2;
   }
@@ -647,36 +514,21 @@ int CmdCompact(const Flags& flags) {
 }
 
 int CmdServe(const Flags& flags) {
-  if (!flags.demo && flags.positional.size() != 1) return Usage();
-  if (!flags.demo && flags.view.empty() && !flags.demo_view) return Usage();
-
-  auto backend = OpenBackend(
-      flags, flags.positional.empty() ? std::string() : flags.positional[0]);
-  if (!backend.ok()) return Fail(backend.status());
-  std::string view_text;
-  if (!flags.view.empty()) {
-    auto view_file = ReadFile(flags.view);
-    if (!view_file.ok()) return Fail(view_file.status());
-    view_text = std::move(*view_file);
-  } else {
-    view_text = workload::BookRevView();
+  if (!flags.corpus.demo && flags.positional.size() != 1) return Usage();
+  if (!flags.corpus.demo && flags.view.empty() && !flags.demo_view) {
+    return Usage();
   }
+
+  auto backend = OpenCorpus(CorpusSpec(flags));
+  if (!backend.ok()) return Fail(backend.status());
+  auto view_text = tools::ReadViewText(flags.view);
+  if (!view_text.ok()) return Fail(view_text.status());
 
   service::QueryServiceOptions options;
   options.threads = flags.threads;
-  std::unique_ptr<service::QueryService> query_service;
-  if (backend->shards != nullptr) {
-    query_service = std::make_unique<service::QueryService>(
-        backend->shards.get(), options);
-  } else {
-    query_service = std::make_unique<service::QueryService>(
-        backend->database(), backend->index_source(), backend->store.get(),
-        options);
-    if (backend->packed != nullptr) {
-      query_service->AttachBufferPool(&backend->packed->pool());
-    }
-  }
-  Status registered = query_service->RegisterView("default", view_text);
+  std::unique_ptr<service::QueryService> query_service =
+      backend->NewService(options);
+  Status registered = query_service->RegisterView("default", *view_text);
   if (!registered.ok()) return Fail(registered);
 
   // One query per stdin line: comma-separated keywords.
@@ -821,38 +673,20 @@ int CmdServe(const Flags& flags) {
 /// fetched never touch base data; with a packed db, never touch disk).
 int CmdPage(const Flags& flags) {
   if (flags.positional.size() > 1) return Usage();
-  Flags backend_flags = flags;
-  backend_flags.demo = flags.positional.empty();
-  auto backend = OpenBackend(
-      backend_flags,
-      flags.positional.empty() ? std::string() : flags.positional[0]);
+  auto backend = OpenCorpus(CorpusSpec(flags));
   if (!backend.ok()) return Fail(backend.status());
-  std::string view_text;
-  if (!flags.view.empty()) {
-    auto view_file = ReadFile(flags.view);
-    if (!view_file.ok()) return Fail(view_file.status());
-    view_text = std::move(*view_file);
-  } else {
-    view_text = workload::BookRevView();
-  }
+  auto view_text = tools::ReadViewText(flags.view);
+  if (!view_text.ok()) return Fail(view_text.status());
   // One unified entry point at any shard count: a sharded backend fans
   // the request out per shard, an unsharded one is the one-shard case.
-  std::vector<engine::ShardContext> contexts;
-  if (backend->shards != nullptr) {
-    contexts = backend->ShardContexts();
-  } else {
-    contexts.push_back(engine::ShardContext{backend->database(),
-                                            backend->index_source(),
-                                            backend->store.get()});
-  }
-  engine::ViewSearchEngine engine(std::move(contexts), /*pool=*/nullptr);
+  engine::ViewSearchEngine engine(backend->ShardContexts(), /*pool=*/nullptr);
 
   std::vector<std::string> keywords = flags.keywords;
   if (keywords.empty()) keywords = {"xml", "search"};
   const size_t page_size = flags.page > 0 ? flags.page : 3;
 
   engine::SearchRequest request;
-  request.view = view_text;
+  request.view = *view_text;
   request.keywords = keywords;
   request.options.top_k = flags.top_k;
   request.options.conjunctive = !flags.any;

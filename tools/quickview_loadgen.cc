@@ -19,15 +19,13 @@
 #include "server/client.h"
 #include "server/load_driver.h"
 #include "server/protocol.h"
+#include "tool_common.h"
 
 namespace {
 
 using namespace quickview;
-
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
+using tools::Fail;
+using tools::ParseCount;
 
 int Usage() {
   std::fprintf(
@@ -37,19 +35,6 @@ int Usage() {
       "    [--deadline-ms N] [--top N] [--any] [--view NAME]\n"
       "    [--keywords k1,k2[;k3,k4;...]] [--trace]\n");
   return 2;
-}
-
-/// Strict non-negative integer parse; false on junk or overflow.
-bool ParseCount(const char* text, long long max_value, long long* out) {
-  if (text == nullptr || *text == '\0') return false;
-  long long value = 0;
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') return false;
-    value = value * 10 + (*p - '0');
-    if (value > max_value) return false;
-  }
-  *out = value;
-  return true;
 }
 
 bool ParseFlags(int argc, char** argv, server::LoadOptions* options,

@@ -11,7 +11,10 @@
 // corpus. --live wraps an in-memory corpus in a LiveDatabase so Insert/
 // Remove RPCs mutate it; the static backends answer those with
 // InvalidArgument. The view registered under the name "default" is the
-// built-in books/reviews view unless --view names a file.
+// built-in books/reviews view unless --view names a file. The source
+// flags mean what they mean in quickview_cli (service/backend.h), and
+// contradictory ones — --demo with a source, --shards or --live over a
+// packed source, --live with --shards — fail at startup.
 //
 // --wal <path> (requires --live) makes mutations durable: committed
 // records in an existing log at <path> are replayed over the base corpus
@@ -33,28 +36,19 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "index/index_builder.h"
-#include "pagestore/packed_db.h"
 #include "server/server.h"
+#include "service/backend.h"
 #include "service/query_service.h"
-#include "storage/document_store.h"
-#include "storage/live_database.h"
-#include "storage/persistence.h"
-#include "storage/shard_set.h"
-#include "workload/bookrev_generator.h"
+#include "tool_common.h"
 
 namespace {
 
 using namespace quickview;
-
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
+using tools::Fail;
+using tools::ParseCount;
 
 int Usage() {
   std::fprintf(
@@ -70,37 +64,19 @@ int Usage() {
 
 struct Flags {
   std::vector<std::string> positional;
+  service::BackendSpec corpus;  // source flags; positional[0] is the source
   std::string host = "127.0.0.1";
   long long port = 0;
   std::string port_file;
   std::string view;
-  bool demo = false;
-  bool live = false;
-  std::string wal;  // durable commit log; requires --live
   int threads = 0;  // QueryService pool; 0 = hardware concurrency
   int workers = 0;  // server RPC pool; 0 = hardware concurrency
   long long admission_limit = 128;
   long long max_conns = 64;
-  size_t frames = 256;
-  int shards = 0;
-  std::string colocate;
   bool trace_all = false;
   long long slow_threshold_us = 0;
   long long slow_log = 8;
 };
-
-/// Strict non-negative integer parse; false on junk or overflow.
-bool ParseCount(const char* text, long long max_value, long long* out) {
-  if (text == nullptr || *text == '\0') return false;
-  long long value = 0;
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') return false;
-    value = value * 10 + (*p - '0');
-    if (value > max_value) return false;
-  }
-  *out = value;
-  return true;
-}
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
   for (int i = 1; i < argc; ++i) {
@@ -123,13 +99,13 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       if (v == nullptr) return false;
       flags->view = v;
     } else if (arg == "--demo") {
-      flags->demo = true;
+      flags->corpus.demo = true;
     } else if (arg == "--live") {
-      flags->live = true;
+      flags->corpus.live = true;
     } else if (arg == "--wal") {
       const char* v = next();
       if (v == nullptr) return false;
-      flags->wal = v;
+      flags->corpus.wal = v;
     } else if (arg == "--threads") {
       long long value = 0;
       if (!ParseCount(next(), 4096, &value)) return false;
@@ -151,15 +127,15 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--frames") {
       long long value = 0;
       if (!ParseCount(next(), 1 << 24, &value) || value == 0) return false;
-      flags->frames = static_cast<size_t>(value);
+      flags->corpus.frames = static_cast<size_t>(value);
     } else if (arg == "--shards") {
       long long value = 0;
       if (!ParseCount(next(), 4096, &value) || value == 0) return false;
-      flags->shards = static_cast<int>(value);
+      flags->corpus.shards = static_cast<int>(value);
     } else if (arg == "--colocate") {
       const char* v = next();
       if (v == nullptr) return false;
-      flags->colocate = v;
+      flags->corpus.colocate = v;
     } else if (arg == "--trace-all") {
       flags->trace_all = true;
     } else if (arg == "--slow-threshold-us") {
@@ -173,114 +149,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     }
   }
   return true;
-}
-
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream content;
-  content << in.rdbuf();
-  return content.str();
-}
-
-bool HasSuffix(const std::string& path, std::string_view suffix) {
-  return path.size() > suffix.size() &&
-         path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-/// Everything the QueryService points into; must outlive the server.
-struct Backend {
-  std::shared_ptr<xml::Database> db;
-  std::unique_ptr<index::DatabaseIndexes> indexes;
-  std::shared_ptr<pagestore::PackedDb> packed;
-  std::unique_ptr<storage::DocumentStore> store;
-  std::unique_ptr<storage::ShardSet> shards;
-  std::unique_ptr<storage::LiveDatabase> live;
-  std::unique_ptr<service::QueryService> service;
-};
-
-Result<Backend> OpenBackend(const Flags& flags) {
-  Backend backend;
-  const std::string source =
-      flags.positional.empty() ? std::string() : flags.positional[0];
-  service::QueryServiceOptions options;
-  options.threads = flags.threads;
-  if (!flags.wal.empty() && !flags.live) {
-    return Status::InvalidArgument("--wal requires --live");
-  }
-
-  if (!source.empty() && HasSuffix(source, ".qvset")) {
-    if (flags.live) {
-      return Status::InvalidArgument("--live needs an in-memory corpus");
-    }
-    QUICKVIEW_ASSIGN_OR_RETURN(
-        storage::ShardSet set,
-        storage::ShardSet::OpenPacked(source, flags.frames));
-    backend.shards = std::make_unique<storage::ShardSet>(std::move(set));
-    std::printf("opened %s: %zu shards\n", source.c_str(),
-                backend.shards->size());
-    backend.service = std::make_unique<service::QueryService>(
-        backend.shards.get(), options);
-    return backend;
-  }
-  if (!source.empty() && HasSuffix(source, ".qvpack")) {
-    if (flags.live) {
-      return Status::InvalidArgument("--live needs an in-memory corpus");
-    }
-    pagestore::BufferPoolOptions pool;
-    pool.frames = flags.frames;
-    QUICKVIEW_ASSIGN_OR_RETURN(backend.packed,
-                               pagestore::PackedDb::Open(source, pool));
-    backend.store = std::make_unique<storage::DocumentStore>(backend.packed);
-    std::printf("opened %s: %u pages, %zu documents\n", source.c_str(),
-                backend.packed->file().page_count(),
-                backend.packed->document_names().size());
-    backend.service = std::make_unique<service::QueryService>(
-        nullptr, backend.packed.get(), backend.store.get(), options);
-    backend.service->AttachBufferPool(&backend.packed->pool());
-    return backend;
-  }
-
-  // In-memory corpus: built-in demo, or a persisted database directory.
-  if (source.empty() || flags.demo) {
-    backend.db = workload::GenerateBookRevDatabase(workload::BookRevOptions{});
-  } else {
-    QUICKVIEW_ASSIGN_OR_RETURN(backend.db, storage::LoadDatabase(source));
-  }
-
-  if (flags.live) {
-    backend.live = std::make_unique<storage::LiveDatabase>(backend.db);
-    if (!flags.wal.empty()) {
-      QUICKVIEW_RETURN_IF_ERROR(backend.live->OpenWal(flags.wal));
-      const pagestore::WalReplay& replay = backend.live->wal()->replay();
-      std::printf("wal %s: replayed %zu committed records%s\n",
-                  flags.wal.c_str(), replay.payloads.size(),
-                  replay.tail_truncated ? " (torn tail truncated)" : "");
-    }
-    std::printf("live corpus: %zu documents (Insert/Remove enabled%s)\n",
-                backend.db->documents().size(),
-                flags.wal.empty() ? "" : ", durable");
-    backend.service = std::make_unique<service::QueryService>(
-        backend.live.get(), options);
-    return backend;
-  }
-  if (flags.shards > 0) {
-    storage::ShardingSpec spec;
-    spec.shards = flags.shards;
-    spec.colocate_tag = flags.colocate;
-    QUICKVIEW_ASSIGN_OR_RETURN(storage::ShardSet set,
-                               storage::ShardSet::Partition(*backend.db, spec));
-    backend.shards = std::make_unique<storage::ShardSet>(std::move(set));
-    std::printf("partitioned corpus into %d shards\n", flags.shards);
-    backend.service = std::make_unique<service::QueryService>(
-        backend.shards.get(), options);
-    return backend;
-  }
-  backend.indexes = index::BuildDatabaseIndexes(*backend.db);
-  backend.store = std::make_unique<storage::DocumentStore>(*backend.db);
-  backend.service = std::make_unique<service::QueryService>(
-      backend.db.get(), backend.indexes.get(), backend.store.get(), options);
-  return backend;
 }
 
 void PrintFinalStats(const server::StatsResponse& stats) {
@@ -341,18 +209,17 @@ int Run(const Flags& flags) {
     return Fail(Status::Internal("pthread_sigmask failed"));
   }
 
-  auto backend = OpenBackend(flags);
+  auto backend = service::OpenBackend(flags.corpus);
   if (!backend.ok()) return Fail(backend.status());
+  std::fputs(backend->summary.c_str(), stdout);
+  service::QueryServiceOptions service_options;
+  service_options.threads = flags.threads;
+  std::unique_ptr<service::QueryService> query_service =
+      backend->NewService(service_options);
 
-  std::string view_text;
-  if (!flags.view.empty()) {
-    auto view_file = ReadFile(flags.view);
-    if (!view_file.ok()) return Fail(view_file.status());
-    view_text = std::move(*view_file);
-  } else {
-    view_text = workload::BookRevView();
-  }
-  Status registered = backend->service->RegisterView("default", view_text);
+  auto view_text = tools::ReadViewText(flags.view);
+  if (!view_text.ok()) return Fail(view_text.status());
+  Status registered = query_service->RegisterView("default", *view_text);
   if (!registered.ok()) return Fail(registered);
 
   server::ServerOptions options;
@@ -365,7 +232,7 @@ int Run(const Flags& flags) {
   options.slow_query_threshold_us =
       static_cast<uint64_t>(flags.slow_threshold_us);
   options.slow_query_capacity = static_cast<size_t>(flags.slow_log);
-  server::Server server(backend->service.get(), options);
+  server::Server server(query_service.get(), options);
   Status started = server.Start();
   if (!started.ok()) return Fail(started);
 
@@ -399,5 +266,6 @@ int main(int argc, char** argv) {
   Flags flags;
   if (!ParseFlags(argc, argv, &flags)) return Usage();
   if (flags.positional.size() > 1) return Usage();
+  if (!flags.positional.empty()) flags.corpus.source = flags.positional[0];
   return Run(flags);
 }
