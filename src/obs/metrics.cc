@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <charconv>
 #include <utility>
 
 namespace quickview::obs {
@@ -253,6 +254,28 @@ std::string MetricsRegistry::TextExposition() const {
     }
   }
   return out;
+}
+
+std::optional<int64_t> ExpositionValue(std::string_view text,
+                                       std::string_view series) {
+  while (!text.empty()) {
+    const size_t eol = text.find('\n');
+    std::string_view line = text.substr(0, eol);
+    text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
+    if (line.size() <= series.size() || !line.starts_with(series) ||
+        line[series.size()] != ' ') {
+      continue;
+    }
+    const std::string_view value = line.substr(series.size() + 1);
+    int64_t parsed = 0;
+    const auto [end, ec] =
+        std::from_chars(value.data(), value.data() + value.size(), parsed);
+    if (ec != std::errc() || end != value.data() + value.size()) {
+      return std::nullopt;
+    }
+    return parsed;
+  }
+  return std::nullopt;
 }
 
 }  // namespace quickview::obs

@@ -20,14 +20,18 @@
 // `# TYPE` line per metric, one sample line per labeled series,
 // histograms as cumulative `_bucket{le="..."}` series plus `_sum` and
 // `_count` — from a point-in-time HistogramSnapshot per histogram, so a
-// render never re-reads live atomics mid-line.
+// render never re-reads live atomics mid-line. ExpositionValue() is the
+// matching reader: it pulls one series' value back out of such text, which
+// is how Stats RPC clients read the counters they need.
 #ifndef QUICKVIEW_OBS_METRICS_H_
 #define QUICKVIEW_OBS_METRICS_H_
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -122,6 +126,15 @@ class MetricsRegistry {
   mutable qv::Mutex mu_;
   std::vector<Instrument> instruments_ QV_GUARDED_BY(mu_);
 };
+
+/// The value of the sample line whose series is exactly `series` in
+/// Prometheus exposition `text` — a bare name (`qv_server_admitted_total`)
+/// or a name with its rendered labels
+/// (`qv_server_latency_us_count{opcode="Search"}`). A name never matches
+/// a longer name or a labeled series of the same name. nullopt when no
+/// sample line carries that series or its value is not an integer.
+std::optional<int64_t> ExpositionValue(std::string_view text,
+                                       std::string_view series);
 
 }  // namespace quickview::obs
 

@@ -1,6 +1,7 @@
 #include "obs/slow_query_log.h"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 namespace quickview::obs {
@@ -32,6 +33,34 @@ std::vector<SlowQueryLog::Entry> SlowQueryLog::Snapshot() const {
     if (a.latency_us != b.latency_us) return a.latency_us > b.latency_us;
     return a.request_id < b.request_id;
   });
+  return out;
+}
+
+std::string SlowQueryLog::TextExposition() const {
+  std::string out;
+  for (const Entry& entry : Snapshot()) {
+    out += "# slow_query latency_us=" + std::to_string(entry.latency_us) +
+           " request_id=" + std::to_string(entry.request_id) +
+           " opcode=" + entry.opcode + ' ';
+    // A newline in the description would end the comment line early.
+    for (char c : entry.description) {
+      if (c == '\n') {
+        out += "\\n";
+      } else {
+        out.push_back(c);
+      }
+    }
+    out.push_back('\n');
+    std::string_view trace = entry.trace;
+    while (!trace.empty()) {
+      const size_t eol = trace.find('\n');
+      out += "#   ";
+      out += trace.substr(0, eol);
+      out.push_back('\n');
+      trace.remove_prefix(eol == std::string_view::npos ? trace.size()
+                                                        : eol + 1);
+    }
+  }
   return out;
 }
 

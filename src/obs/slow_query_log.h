@@ -4,7 +4,9 @@
 // never wash out the single worst offender (the failure mode of a plain
 // time-ordered ring). Entries carry the request's serialized span tree
 // when it was traced, making "why was this slow" answerable after the
-// fact from the Stats RPC or the server's shutdown report.
+// fact. TextExposition() renders the log as Prometheus comment lines, so
+// the Stats RPC and the server's shutdown report append it to the
+// metrics exposition and the whole reply stays valid exposition text.
 #ifndef QUICKVIEW_OBS_SLOW_QUERY_LOG_H_
 #define QUICKVIEW_OBS_SLOW_QUERY_LOG_H_
 
@@ -29,8 +31,8 @@ class SlowQueryLog {
   struct Entry {
     uint64_t latency_us = 0;
     uint64_t request_id = 0;
-    /// Wire opcode of the request (raw value; 0 for non-RPC sources).
-    uint8_t opcode = 0;
+    /// Opcode name of the request ("Search"); empty for non-RPC sources.
+    std::string opcode;
     /// Human-readable request summary ("search view=V keywords=a,b").
     std::string description;
     /// Serialized span tree; empty when the request was not traced.
@@ -48,6 +50,12 @@ class SlowQueryLog {
   /// Entries ordered worst-first (ties broken by request id for a
   /// deterministic report).
   std::vector<Entry> Snapshot() const QV_EXCLUDES(mu_);
+
+  /// The log as Prometheus comment lines, worst entry first: one
+  ///   `# slow_query latency_us=N request_id=N opcode=Name <description>`
+  /// line per entry, then each line of its trace prefixed with `#   `.
+  /// Empty when the log holds no entry.
+  std::string TextExposition() const QV_EXCLUDES(mu_);
 
   /// Requests offered to Record (before threshold/capacity filtering).
   uint64_t considered() const QV_EXCLUDES(mu_);

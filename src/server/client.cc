@@ -223,18 +223,8 @@ Status Client::Remove(const std::string& name) {
   return Call(Opcode::kRemove, std::move(payload)).status();
 }
 
-Result<StatsResponse> Client::Stats() {
-  QUICKVIEW_ASSIGN_OR_RETURN(std::string body,
-                             Call(Opcode::kStats, std::string()));
-  return DecodeStatsResponse(body);
-}
-
-Result<std::string> Client::StatsText() {
-  StatsRpcRequest req;
-  req.format = StatsRpcRequest::kText;
-  std::string payload;
-  Encode(req, &payload);
-  return Call(Opcode::kStats, std::move(payload));
+Result<std::string> Client::Stats() {
+  return Call(Opcode::kStats, std::string());
 }
 
 }  // namespace quickview::server

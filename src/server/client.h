@@ -63,9 +63,10 @@ class Client {
   Status CloseCursor(uint64_t cursor_id);
   Status Insert(const std::string& name, const std::string& xml_text);
   Status Remove(const std::string& name);
-  Result<StatsResponse> Stats();
-  /// kStats with format=text: the server's Prometheus exposition.
-  Result<std::string> StatsText();
+  /// The server's StatsText: its Prometheus exposition plus the
+  /// slow-query log as comment lines. Read single series out of it with
+  /// obs::ExpositionValue.
+  Result<std::string> Stats();
 
   // Raw frame access, for tests that decouple sending from reading.
   /// Sends one request frame with an explicit request id.

@@ -509,117 +509,4 @@ Result<RemoveRequest> DecodeRemoveRequest(std::string_view payload) {
   return req;
 }
 
-void Encode(const StatsRpcRequest& req, std::string* out) {
-  // The binary form stays the historical empty payload, so old callers'
-  // frames decode unchanged.
-  if (req.format == StatsRpcRequest::kBinary) return;
-  out->push_back(static_cast<char>(req.format));
-}
-
-Result<StatsRpcRequest> DecodeStatsRpcRequest(std::string_view payload) {
-  StatsRpcRequest req;
-  if (payload.empty()) return req;
-  if (payload.size() != 1) return Trailing("Stats");
-  const uint8_t format = static_cast<uint8_t>(payload[0]);
-  if (format > StatsRpcRequest::kText) {
-    return Status::ParseError("Stats format out of range");
-  }
-  req.format = format;
-  return req;
-}
-
-void Encode(const StatsResponse& resp, std::string* out) {
-  AppendU64(out, resp.admitted);
-  AppendU64(out, resp.shed);
-  AppendU64(out, resp.deadline_rejected);
-  AppendU64(out, resp.inflight);
-  AppendU64(out, resp.queued);
-  AppendU64(out, resp.open_cursors);
-  AppendU64(out, resp.connections_open);
-  AppendU64(out, resp.connections_accepted);
-  AppendU64(out, resp.connections_rejected);
-  AppendU64(out, resp.frames_received);
-  AppendU64(out, resp.frames_sent);
-  AppendU64(out, resp.protocol_errors);
-  for (size_t i = 0; i < kOpcodeSlots; ++i) {
-    AppendU64(out, resp.latency[i].count);
-    AppendU64(out, resp.latency[i].p50_us);
-    AppendU64(out, resp.latency[i].p90_us);
-    AppendU64(out, resp.latency[i].p99_us);
-    AppendU64(out, resp.latency[i].shed);
-    AppendU64(out, resp.latency[i].deadline_rejected);
-  }
-  AppendU64(out, resp.queries);
-  AppendU64(out, resp.documents_inserted);
-  AppendU64(out, resp.documents_removed);
-  AppendU64(out, resp.cache_hits);
-  AppendU64(out, resp.cache_misses);
-  AppendU64(out, resp.cache_evictions);
-  AppendSearchStats(out, resp.search);
-  AppendU64(out, resp.buffer.hits);
-  AppendU64(out, resp.buffer.misses);
-  AppendU64(out, resp.buffer.evictions);
-  AppendU64(out, resp.buffer.frames_in_use);
-  AppendU64(out, resp.buffer.frame_capacity);
-  AppendU32(out, static_cast<uint32_t>(resp.slow_queries.size()));
-  for (const SlowQueryEntry& entry : resp.slow_queries) {
-    AppendU64(out, entry.latency_us);
-    AppendU64(out, entry.request_id);
-    out->push_back(static_cast<char>(entry.opcode));
-    AppendString(out, entry.description);
-    AppendString(out, entry.trace);
-  }
-}
-
-Result<StatsResponse> DecodeStatsResponse(std::string_view payload) {
-  StatsResponse resp;
-  size_t pos = 0;
-  bool ok = ReadU64(payload, &pos, &resp.admitted) &&
-            ReadU64(payload, &pos, &resp.shed) &&
-            ReadU64(payload, &pos, &resp.deadline_rejected) &&
-            ReadU64(payload, &pos, &resp.inflight) &&
-            ReadU64(payload, &pos, &resp.queued) &&
-            ReadU64(payload, &pos, &resp.open_cursors) &&
-            ReadU64(payload, &pos, &resp.connections_open) &&
-            ReadU64(payload, &pos, &resp.connections_accepted) &&
-            ReadU64(payload, &pos, &resp.connections_rejected) &&
-            ReadU64(payload, &pos, &resp.frames_received) &&
-            ReadU64(payload, &pos, &resp.frames_sent) &&
-            ReadU64(payload, &pos, &resp.protocol_errors);
-  for (size_t i = 0; ok && i < kOpcodeSlots; ++i) {
-    ok = ReadU64(payload, &pos, &resp.latency[i].count) &&
-         ReadU64(payload, &pos, &resp.latency[i].p50_us) &&
-         ReadU64(payload, &pos, &resp.latency[i].p90_us) &&
-         ReadU64(payload, &pos, &resp.latency[i].p99_us) &&
-         ReadU64(payload, &pos, &resp.latency[i].shed) &&
-         ReadU64(payload, &pos, &resp.latency[i].deadline_rejected);
-  }
-  ok = ok && ReadU64(payload, &pos, &resp.queries) &&
-       ReadU64(payload, &pos, &resp.documents_inserted) &&
-       ReadU64(payload, &pos, &resp.documents_removed) &&
-       ReadU64(payload, &pos, &resp.cache_hits) &&
-       ReadU64(payload, &pos, &resp.cache_misses) &&
-       ReadU64(payload, &pos, &resp.cache_evictions) &&
-       ReadSearchStats(payload, &pos, &resp.search) &&
-       ReadU64(payload, &pos, &resp.buffer.hits) &&
-       ReadU64(payload, &pos, &resp.buffer.misses) &&
-       ReadU64(payload, &pos, &resp.buffer.evictions) &&
-       ReadU64(payload, &pos, &resp.buffer.frames_in_use) &&
-       ReadU64(payload, &pos, &resp.buffer.frame_capacity);
-  uint32_t slow_count = 0;
-  ok = ok && ReadU32(payload, &pos, &slow_count);
-  for (uint32_t i = 0; ok && i < slow_count; ++i) {
-    SlowQueryEntry entry;
-    ok = ReadU64(payload, &pos, &entry.latency_us) &&
-         ReadU64(payload, &pos, &entry.request_id) && pos < payload.size();
-    if (ok) entry.opcode = static_cast<uint8_t>(payload[pos++]);
-    ok = ok && ReadString(payload, &pos, &entry.description) &&
-         ReadString(payload, &pos, &entry.trace);
-    if (ok) resp.slow_queries.push_back(std::move(entry));
-  }
-  if (!ok) return Truncated("Stats response");
-  if (pos != payload.size()) return Trailing("Stats response");
-  return resp;
-}
-
 }  // namespace quickview::server

@@ -30,7 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "engine/view_search_engine.h"
@@ -38,7 +37,10 @@
 namespace quickview::server {
 
 inline constexpr uint32_t kFrameMagic = 0x51565250;  // "QVRP"
-inline constexpr uint16_t kProtocolVersion = 1;
+/// Bumped whenever an existing opcode's payload changes shape, so a peer
+/// speaking another version fails at the frame level (ParseError)
+/// instead of misreading a reply.
+inline constexpr uint16_t kProtocolVersion = 2;
 inline constexpr size_t kFrameHeaderSize = 20;
 inline constexpr size_t kFrameTrailerSize = 4;
 /// Hard cap on a single frame's payload; anything larger is corrupt (or
@@ -126,7 +128,11 @@ Status DecodeStatusPayload(std::string_view payload, Status* decoded);
 // RPC payloads. Each request/response struct has an Encode (append to
 // string) and Decode (whole payload -> struct, ParseError on truncated
 // or trailing bytes). Success responses for kRegisterView, kCloseCursor,
-// kInsert and kRemove have empty payloads.
+// kInsert and kRemove have empty payloads. A kStats request has an empty
+// payload and its success payload is plain text: the server's metrics
+// exposition followed by its slow-query log as comment lines
+// (Server::StatsText), read back with obs::ExpositionValue — so it has
+// no codec here.
 
 struct RegisterViewRequest {
   std::string name;
@@ -195,71 +201,6 @@ struct RemoveRequest {
 };
 void Encode(const RemoveRequest& req, std::string* out);
 Result<RemoveRequest> DecodeRemoveRequest(std::string_view payload);
-
-/// kStats request: an empty payload (the historical encoding) asks for
-/// the binary StatsResponse below; a one-byte payload selects the
-/// format explicitly — 0 binary, 1 Prometheus text (the response
-/// payload is then the raw TextExposition bytes, not a StatsResponse).
-struct StatsRpcRequest {
-  enum Format : uint8_t { kBinary = 0, kText = 1 };
-  uint8_t format = kBinary;
-};
-void Encode(const StatsRpcRequest& req, std::string* out);
-Result<StatsRpcRequest> DecodeStatsRpcRequest(std::string_view payload);
-
-struct OpcodeLatency {
-  uint64_t count = 0;
-  uint64_t p50_us = 0;
-  uint64_t p90_us = 0;
-  uint64_t p99_us = 0;
-  /// Admission-control outcomes for this opcode: requests shed at the
-  /// queue limit, and requests rejected because their deadline had
-  /// already expired when a worker picked them up.
-  uint64_t shed = 0;
-  uint64_t deadline_rejected = 0;
-};
-
-/// One slow-query-log entry: the K worst admitted requests by latency
-/// (obs::SlowQueryLog). `trace` is empty unless the request was traced.
-struct SlowQueryEntry {
-  uint64_t latency_us = 0;
-  uint64_t request_id = 0;
-  uint8_t opcode = 0;
-  std::string description;
-  std::string trace;
-};
-
-struct StatsResponse {
-  // Admission / connection counters.
-  uint64_t admitted = 0;
-  uint64_t shed = 0;
-  uint64_t deadline_rejected = 0;
-  uint64_t inflight = 0;
-  uint64_t queued = 0;
-  uint64_t open_cursors = 0;
-  uint64_t connections_open = 0;
-  uint64_t connections_accepted = 0;
-  uint64_t connections_rejected = 0;
-  uint64_t frames_received = 0;
-  uint64_t frames_sent = 0;
-  uint64_t protocol_errors = 0;
-  /// Indexed by raw opcode value (slot 0 unused).
-  OpcodeLatency latency[kOpcodeSlots] = {};
-  // QueryService counters.
-  uint64_t queries = 0;
-  uint64_t documents_inserted = 0;
-  uint64_t documents_removed = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_evictions = 0;
-  // EngineStats: the aggregate SearchStats + buffer-pool counters.
-  engine::SearchStats search;
-  engine::BufferCounters buffer;
-  /// Worst admitted requests by latency, worst first.
-  std::vector<SlowQueryEntry> slow_queries;
-};
-void Encode(const StatsResponse& resp, std::string* out);
-Result<StatsResponse> DecodeStatsResponse(std::string_view payload);
 
 }  // namespace quickview::server
 

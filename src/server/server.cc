@@ -387,7 +387,7 @@ void Server::ExecuteRpc(const std::shared_ptr<Connection>& conn,
   obs::SlowQueryLog::Entry entry;
   entry.latency_us = elapsed_us;
   entry.request_id = frame.request_id;
-  entry.opcode = static_cast<uint8_t>(frame.opcode);
+  entry.opcode = OpcodeName(frame.opcode);
   entry.description = obs.description.empty() ? OpcodeName(frame.opcode)
                                               : std::move(obs.description);
   entry.trace = std::move(obs.trace);
@@ -555,15 +555,10 @@ Result<std::string> Server::RunOpcode(const std::shared_ptr<Connection>& conn,
       return std::string();
     }
     case Opcode::kStats: {
-      QUICKVIEW_ASSIGN_OR_RETURN(StatsRpcRequest req,
-                                 DecodeStatsRpcRequest(frame.payload));
-      if (req.format == StatsRpcRequest::kText) {
-        // Raw Prometheus exposition bytes, not a StatsResponse.
-        return registry_.TextExposition();
+      if (!frame.payload.empty()) {
+        return Status::ParseError("Stats request takes no payload");
       }
-      std::string payload;
-      Encode(SnapshotStats(), &payload);
-      return payload;
+      return StatsText();
     }
   }
   return Status::Internal("unhandled opcode");  // unreachable: decode checks
@@ -611,15 +606,12 @@ uint64_t Server::RecordLatency(Opcode opcode, Clock::time_point arrival) {
   return elapsed_us;
 }
 
-StatsResponse Server::SnapshotStats() const {
-  StatsResponse out;
+ServerSnapshot Server::SnapshotStats() const {
+  ServerSnapshot out;
   out.admitted = admitted_.load(std::memory_order_relaxed);
   out.shed = shed_.load(std::memory_order_relaxed);
   out.deadline_rejected = deadline_rejected_.load(std::memory_order_relaxed);
-  out.inflight = inflight_.load(std::memory_order_relaxed);
-  out.queued = queued_.load(std::memory_order_relaxed);
   out.open_cursors = open_cursors_.load(std::memory_order_relaxed);
-  out.connections_open = conns_open_.load(std::memory_order_relaxed);
   out.connections_accepted = conns_accepted_.load(std::memory_order_relaxed);
   out.connections_rejected = conns_rejected_.load(std::memory_order_relaxed);
   out.frames_received = frames_in_.load(std::memory_order_relaxed);
@@ -637,25 +629,12 @@ StatsResponse Server::SnapshotStats() const {
     out.latency[i].deadline_rejected =
         op_deadline_rejected_[i].load(std::memory_order_relaxed);
   }
-  service::QueryService::Stats service_stats = service_->stats();
-  out.queries = service_stats.queries;
-  out.documents_inserted = service_stats.documents_inserted;
-  out.documents_removed = service_stats.documents_removed;
-  out.cache_hits = service_stats.cache.hits;
-  out.cache_misses = service_stats.cache.misses;
-  out.cache_evictions = service_stats.cache.evictions;
-  out.search = service_stats.engine.search;
-  out.buffer = service_stats.engine.buffer;
-  for (obs::SlowQueryLog::Entry& entry : slow_log_.Snapshot()) {
-    SlowQueryEntry wire;
-    wire.latency_us = entry.latency_us;
-    wire.request_id = entry.request_id;
-    wire.opcode = entry.opcode;
-    wire.description = std::move(entry.description);
-    wire.trace = std::move(entry.trace);
-    out.slow_queries.push_back(std::move(wire));
-  }
+  out.slow_queries = slow_log_.Snapshot();
   return out;
+}
+
+std::string Server::StatsText() const {
+  return registry_.TextExposition() + slow_log_.TextExposition();
 }
 
 }  // namespace quickview::server

@@ -23,16 +23,15 @@
 // happens one layer down, in the service's PreparedQueryCache — every
 // Search/OpenCursor for the same (view, plan) hits it.
 //
-// Observability: per-opcode log-bucketed latency histograms
-// (arrival -> response written) plus admission/shed/inflight/connection
-// counters, all returned by the kStats RPC alongside the service's own
-// QueryService::Stats. Every series also lives in an obs::MetricsRegistry
-// (server counters, per-opcode latency histograms, and everything the
-// QueryService stack registers), so `kStats format=text` answers with a
-// Prometheus exposition. Requests carrying kFlagTrace (or all of them,
-// with ServerOptions::trace_all) run with an obs::Trace whose request id
-// is the wire request id; the serialized span tree rides back on the
-// response and feeds the worst-K SlowQueryLog.
+// Observability: one obs::MetricsRegistry holds every series — the
+// server's admission/connection counters and per-opcode log-bucketed
+// latency histograms (arrival -> response written) next to everything
+// the QueryService stack registers. The kStats RPC answers with
+// StatsText(): that registry's Prometheus exposition followed by the
+// worst-K SlowQueryLog as comment lines. Requests carrying kFlagTrace
+// (or all of them, with ServerOptions::trace_all) run with an obs::Trace
+// whose request id is the wire request id; the serialized span tree
+// rides back on the response and feeds the slow-query log.
 #ifndef QUICKVIEW_SERVER_SERVER_H_
 #define QUICKVIEW_SERVER_SERVER_H_
 
@@ -57,6 +56,40 @@
 #include "service/query_service.h"
 
 namespace quickview::server {
+
+struct OpcodeLatency {
+  uint64_t count = 0;
+  uint64_t p50_us = 0;
+  uint64_t p90_us = 0;
+  uint64_t p99_us = 0;
+  /// Admission-control outcomes for this opcode: requests shed at the
+  /// queue limit, and requests rejected because their deadline had
+  /// already expired when a worker picked them up.
+  uint64_t shed = 0;
+  uint64_t deadline_rejected = 0;
+};
+
+/// In-process point-in-time copy of what the server itself owns: its
+/// admission and connection counters, per-opcode latency, and the
+/// slow-query log. Service-side numbers live in QueryService::stats();
+/// the queue/inflight/open-connection gauges only in the registry. Over
+/// the wire, every number is read from StatsText().
+struct ServerSnapshot {
+  // Admission / connection counters.
+  uint64_t admitted = 0;
+  uint64_t shed = 0;
+  uint64_t deadline_rejected = 0;
+  uint64_t open_cursors = 0;
+  uint64_t connections_accepted = 0;
+  uint64_t connections_rejected = 0;
+  uint64_t frames_received = 0;
+  uint64_t frames_sent = 0;
+  uint64_t protocol_errors = 0;
+  /// Indexed by raw opcode value (slot 0 unused).
+  OpcodeLatency latency[kOpcodeSlots] = {};
+  /// Worst admitted requests by latency, worst first.
+  std::vector<obs::SlowQueryLog::Entry> slow_queries;
+};
 
 struct ServerOptions {
   std::string host = "127.0.0.1";
@@ -107,14 +140,13 @@ class Server {
   /// tasks) to exercise shedding and deadline expiry deterministically.
   ThreadPool* worker_pool() { return &pool_; }
 
-  /// The kStats answer, also available in-process.
-  StatsResponse SnapshotStats() const;
+  /// The server's own counters, in-process.
+  ServerSnapshot SnapshotStats() const;
 
-  /// The unified metrics registry (server + QueryService stack).
-  /// `kStats format=text` answers with MetricsText(); tools also dump it
-  /// on shutdown.
-  const obs::MetricsRegistry& registry() const { return registry_; }
-  std::string MetricsText() const { return registry_.TextExposition(); }
+  /// The kStats answer: the registry's Prometheus text exposition
+  /// (server + QueryService stack), then the slow-query log as comment
+  /// lines. Tools also print it on shutdown.
+  std::string StatsText() const;
 
  private:
   /// A server-side cursor plus the trace that produced it, so every
@@ -212,7 +244,7 @@ class Server {
   std::vector<uint64_t> finished_readers_ QV_GUARDED_BY(conns_mu_);
   uint64_t next_conn_ QV_GUARDED_BY(conns_mu_) = 1;
 
-  // Admission + observability counters (see StatsResponse).
+  // Admission + observability counters (see ServerSnapshot).
   std::atomic<uint64_t> queued_{0};
   std::atomic<uint64_t> inflight_{0};
   std::atomic<uint64_t> admitted_{0};

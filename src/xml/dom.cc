@@ -92,6 +92,7 @@ NodeIndex CopySubtreeInto(const Document& source, NodeIndex source_index,
 void Database::AddDocument(const std::string& name,
                            std::shared_ptr<Document> doc) {
   assert(doc != nullptr);
+  assert(documents_.find(name) == documents_.end());
   assert(by_root_.find(doc->root_component()) == by_root_.end());
   by_root_[doc->root_component()] = name;
   documents_[name] = std::move(doc);

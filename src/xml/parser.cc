@@ -17,7 +17,7 @@ class Parser {
     if (AtEnd() || Peek() != '<') {
       return Error("expected root element");
     }
-    QV_RETURN_IF_ERROR(ParseElement(kInvalidNode));
+    QV_RETURN_IF_ERROR(ParseElement(kInvalidNode, 1));
     SkipMisc();
     if (!AtEnd()) return Error("trailing content after root element");
     return doc_;
@@ -149,7 +149,13 @@ class Parser {
     return Status::OK();
   }
 
-  Status ParseElement(NodeIndex parent) {
+  /// Parses the element at `pos_`, which sits `depth` levels deep.
+  Status ParseElement(NodeIndex parent, int depth) {
+    if (depth > kMaxNestingDepth) {
+      return Status::InvalidArgument(
+          "element nesting deeper than " + std::to_string(kMaxNestingDepth) +
+          " levels at byte " + std::to_string(pos_));
+    }
     if (!TryConsume("<")) return Error("expected '<'");
     QV_ASSIGN_OR_RETURN(std::string tag, ParseName());
 
@@ -215,7 +221,7 @@ class Parser {
           }
           return Status::OK();
         }
-        QV_RETURN_IF_ERROR(ParseElement(self));
+        QV_RETURN_IF_ERROR(ParseElement(self, depth + 1));
         continue;
       }
       size_t start = pos_;

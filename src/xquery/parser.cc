@@ -108,6 +108,25 @@ class Parser {
 
   Status ExpectKind(TokenKind kind) { return Expect(kind).status(); }
 
+  /// One nesting level (see kMaxNestingDepth) for the scope's lifetime.
+  class Nesting {
+   public:
+    explicit Nesting(int* depth) : depth_(depth) { ++*depth_; }
+    ~Nesting() { --*depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+    bool too_deep() const { return *depth_ > kMaxNestingDepth; }
+
+   private:
+    int* depth_;
+  };
+
+  Status TooDeep() {
+    return Status::InvalidArgument(
+        "expression nesting deeper than " + std::to_string(kMaxNestingDepth) +
+        " levels (at byte " + std::to_string(lexer_.Peek().offset) + ")");
+  }
+
   Status ExpectIdent(std::string_view text) {
     if (!PeekIs(TokenKind::kIdent, text)) {
       return Error("expected '" + std::string(text) + "'");
@@ -176,8 +195,11 @@ class Parser {
   }
 
   Result<ExprPtr> ParseFlwor() {
+    Nesting nesting(&depth_);
+    if (nesting.too_deep()) return TooDeep();
     auto flwor = std::make_unique<FlworExpr>();
-    while (PeekIs(TokenKind::kIdent, "for") || PeekIs(TokenKind::kIdent, "let")) {
+    while (PeekIs(TokenKind::kIdent, "for") ||
+           PeekIs(TokenKind::kIdent, "let")) {
       FlworClause clause;
       clause.is_let = lexer_.Next().text == "let";
       QV_ASSIGN_OR_RETURN(Token var, Expect(TokenKind::kVariable));
@@ -209,6 +231,8 @@ class Parser {
   }
 
   Result<ExprPtr> ParseIf() {
+    Nesting nesting(&depth_);
+    if (nesting.too_deep()) return TooDeep();
     QV_RETURN_IF_ERROR(ExpectIdent("if"));
     auto out = std::make_unique<IfExpr>();
     QV_ASSIGN_OR_RETURN(out->cond, ParseSingle());
@@ -220,6 +244,8 @@ class Parser {
   }
 
   Result<ExprPtr> ParseElementCtor() {
+    Nesting nesting(&depth_);
+    if (nesting.too_deep()) return TooDeep();
     QV_RETURN_IF_ERROR(ExpectKind(TokenKind::kLt));
     QV_ASSIGN_OR_RETURN(Token tag, Expect(TokenKind::kIdent));
     QV_RETURN_IF_ERROR(ExpectKind(TokenKind::kGt));
@@ -310,6 +336,8 @@ class Parser {
   /// Parses `[PredExpr]*` into `out`.
   Status ParsePredicates(std::vector<ExprPtr>* out) {
     while (PeekIs(TokenKind::kLBracket)) {
+      Nesting nesting(&depth_);
+      if (nesting.too_deep()) return TooDeep();
       lexer_.Next();
       QV_ASSIGN_OR_RETURN(ExprPtr pred, ParseComparison());
       QV_RETURN_IF_ERROR(ExpectKind(TokenKind::kRBracket));
@@ -318,32 +346,42 @@ class Parser {
     return Status::OK();
   }
 
+  // Recursion below runs through ParsePathOrPrimary and ParsePrimary
+  // once per nesting level. Their rarer branches live in separate
+  // out-of-line functions: a sanitizer build gives every local of every
+  // inlined branch its own stack slot, and kMaxNestingDepth levels must
+  // still fit a default 8 MiB thread stack there.
+
   Result<ExprPtr> ParsePathOrPrimary() {
     // A bare tag (inside predicates: book[year > 1995]) abbreviates a
     // context-relative child step, ./tag.
-    ExprPtr source;
-    bool bare_tag_path =
+    const bool bare_tag_path =
         PeekIs(TokenKind::kIdent) && !IsReservedWord(lexer_.Peek().text) &&
         lexer_.Peek().text != "fn:doc" &&
         lexer_.Peek(1).kind != TokenKind::kLParen;
     if (bare_tag_path) {
-      source = std::make_unique<ContextExpr>();
-    } else {
-      QV_ASSIGN_OR_RETURN(source, ParsePrimary());
-      if (source->kind == ExprKind::kLiteral) return source;
-      bool continues = PeekIs(TokenKind::kSlash) ||
-                       PeekIs(TokenKind::kSlashSlash) ||
-                       PeekIs(TokenKind::kLBracket);
-      if (!continues) return source;
-      if (source->kind != ExprKind::kDoc && source->kind != ExprKind::kVar &&
-          source->kind != ExprKind::kContext) {
-        return source;  // parenthesized subexpression etc.
-      }
+      return ParsePath(std::make_unique<ContextExpr>(), /*bare_tag=*/true);
     }
+    QV_ASSIGN_OR_RETURN(ExprPtr source, ParsePrimary());
+    if (source->kind == ExprKind::kLiteral) return source;
+    const bool continues = PeekIs(TokenKind::kSlash) ||
+                           PeekIs(TokenKind::kSlashSlash) ||
+                           PeekIs(TokenKind::kLBracket);
+    if (!continues) return source;
+    if (source->kind != ExprKind::kDoc && source->kind != ExprKind::kVar &&
+        source->kind != ExprKind::kContext) {
+      return source;  // parenthesized subexpression etc.
+    }
+    return ParsePath(std::move(source), /*bare_tag=*/false);
+  }
+
+  /// The predicates and steps after `source`; a `bare_tag` path starts
+  /// with an unslashed tag step.
+  [[gnu::noinline]] Result<ExprPtr> ParsePath(ExprPtr source, bool bare_tag) {
     auto path = std::make_unique<PathExpr>();
     path->source = std::move(source);
     QV_RETURN_IF_ERROR(ParsePredicates(&path->predicates));
-    if (bare_tag_path) {
+    if (bare_tag) {
       PathStepAst step;
       QV_ASSIGN_OR_RETURN(Token tag, Expect(TokenKind::kIdent));
       step.tag = tag.text;
@@ -375,15 +413,9 @@ class Parser {
       case TokenKind::kDot:
         lexer_.Next();
         return ExprPtr(std::make_unique<ContextExpr>());
-      case TokenKind::kString: {
-        Token lit = lexer_.Next();
-        return ExprPtr(std::make_unique<LiteralExpr>(lit.text));
-      }
-      case TokenKind::kNumber: {
-        Token lit = lexer_.Next();
-        return ExprPtr(std::make_unique<LiteralExpr>(lit.number, lit.text));
-      }
       case TokenKind::kLParen: {
+        Nesting nesting(&depth_);
+        if (nesting.too_deep()) return TooDeep();
         lexer_.Next();
         if (PeekIs(TokenKind::kRParen)) {  // empty sequence ()
           lexer_.Next();
@@ -392,6 +424,23 @@ class Parser {
         QV_ASSIGN_OR_RETURN(ExprPtr inner, ParseExprList());
         QV_RETURN_IF_ERROR(ExpectKind(TokenKind::kRParen));
         return inner;
+      }
+      default:
+        return ParseLiteralOrCall();
+    }
+  }
+
+  /// Literals, fn:doc() and function calls.
+  [[gnu::noinline]] Result<ExprPtr> ParseLiteralOrCall() {
+    const Token& t = lexer_.Peek();
+    switch (t.kind) {
+      case TokenKind::kString: {
+        Token lit = lexer_.Next();
+        return ExprPtr(std::make_unique<LiteralExpr>(lit.text));
+      }
+      case TokenKind::kNumber: {
+        Token lit = lexer_.Next();
+        return ExprPtr(std::make_unique<LiteralExpr>(lit.number, lit.text));
       }
       case TokenKind::kIdent: {
         if (t.text == "fn:doc") {
@@ -407,6 +456,8 @@ class Parser {
           return ExprPtr(std::make_unique<DocExpr>(std::move(doc_name)));
         }
         if (lexer_.Peek(1).kind == TokenKind::kLParen) {
+          Nesting nesting(&depth_);
+          if (nesting.too_deep()) return TooDeep();
           Token name = lexer_.Next();
           lexer_.Next();  // '('
           auto call = std::make_unique<FunctionCallExpr>(name.text);
@@ -429,6 +480,8 @@ class Parser {
   }
 
   Lexer lexer_;
+  /// Constructs currently open around the parse position.
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -2,8 +2,9 @@
 # Database-directory workflow end to end: `index` writes two XML files as
 # a database directory; `search`, `basesearch` and `serve` read it (the
 # indexes are built at open); `serve` over the directory answers exactly
-# like `serve` over its packed form; and the directory holds only the
-# manifest and the documents.
+# like `serve` over its packed form; the directory holds only the
+# manifest and the documents; and two inputs with one basename are
+# rejected before anything is written.
 #
 #   cli_dbdir_smoke.sh <quickview_cli> <work-dir>
 set -e
@@ -64,4 +65,19 @@ pk_results=$(echo "$pk" | grep '^\[')
 # per document, nothing else (no persisted index files).
 stray=$(ls "$work/db" | grep -v -e '^manifest\.qv$' -e '^doc_[0-9]*\.xml$' || true)
 [ -z "$stray" ] || { echo "unexpected files in the database directory: $stray"; exit 1; }
+# Documents are named by basename: two inputs sharing one are rejected
+# before anything is written, never silently collapsed into one.
+mkdir -p "$work/a" "$work/b"
+cp "$work/books.xml" "$work/a/books.xml"
+cp "$work/books.xml" "$work/b/books.xml"
+if err=$("$cli" index "$work/a/books.xml" "$work/b/books.xml" --out "$work/dup" 2>&1); then
+  echo 'index accepted two files with one document name'
+  exit 1
+fi
+echo "$err"
+case "$err" in *InvalidArgument*"$work/a/books.xml"*"$work/b/books.xml"*) ;; *)
+  echo 'duplicate-name error does not name both paths'
+  exit 1;;
+esac
+[ ! -e "$work/dup/manifest.qv" ] || { echo 'index wrote a manifest despite the error'; exit 1; }
 echo 'cli_dbdir_smoke: ok'

@@ -1,10 +1,13 @@
 // src/obs: the metrics registry must render valid Prometheus text
 // format (validated by a real line-grammar parser here), the trace tree
 // must serialize deterministically modulo timing fields, and the
-// slow-query log must keep exactly the K worst entries. Runs under the
+// slow-query log must keep exactly the K worst entries and render as
+// comment lines that keep the exposition valid, and ExpositionValue must
+// read back exactly the series it names. Runs under the
 // Sanitize and TSan CI legs (StartSpan races are the supported case).
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <regex>
 #include <set>
 #include <string>
@@ -24,8 +27,9 @@ namespace {
 // ---------------------------------------------------------------------------
 // Prometheus text-format validator: line grammar, TYPE-before-samples,
 // one TYPE block per metric, histogram bucket monotonicity and
-// _count/+Inf agreement. Intentionally strict — a regression in the
-// renderer should fail here, not in a scrape pipeline.
+// _count/+Inf agreement; any other `# ` line is a comment. Intentionally
+// strict — a regression in the renderer should fail here, not in a scrape
+// pipeline.
 
 struct ExpositionCheck {
   std::set<std::string> typed_metrics;
@@ -62,6 +66,7 @@ void ValidateExposition(const std::string& text, ExpositionCheck* check) {
       declared_prefixless = name;
       continue;
     }
+    if (line.rfind("# ", 0) == 0) continue;
     ASSERT_TRUE(std::regex_match(line, m, sample_line)) << line;
     const std::string sample_name = m[1];
     // Histogram samples append _bucket/_sum/_count to the declared name.
@@ -196,6 +201,52 @@ TEST(MetricsRegistryTest, EscapesLabelValues) {
   ValidateExposition(text, &check);
 }
 
+TEST(MetricsRegistryTest, ExpositionValueReadsTheExactSeries) {
+  MetricsRegistry registry;
+  Counter longer;
+  longer.Increment(9);
+  Counter labeled;
+  labeled.Increment(7);
+  Counter total;
+  total.Increment(3);
+  auto add = [&registry](const char* name, LabelSet labels, Counter* c) {
+    return registry.RegisterCounter(name, std::move(labels), c).ok();
+  };
+  // Series that merely share a prefix with the one asked for render
+  // first, so a prefix match would find them before the real series.
+  ASSERT_TRUE(add("qv_server_shed_total_extra", {}, &longer));
+  ASSERT_TRUE(add("qv_server_opcode_shed_total", {{"opcode", "S"}}, &labeled));
+  ASSERT_TRUE(add("qv_server_shed_total", {{"opcode", "S"}}, &labeled));
+  ASSERT_TRUE(add("qv_server_shed_total", {}, &total));
+  Gauge level;
+  level.Set(-4);
+  ASSERT_TRUE(registry.RegisterGauge("qv_server_level", {}, &level).ok());
+  Histogram latency;
+  for (uint64_t v : {10u, 20u, 30u}) latency.Record(v);
+  ASSERT_TRUE(
+      registry.RegisterHistogram("qv_latency_us", {{"opcode", "S"}}, &latency)
+          .ok());
+  const std::string text = "# qv_server_shed_total 99 in a comment\n" +
+                           registry.TextExposition();
+
+  EXPECT_EQ(ExpositionValue(text, "qv_server_shed_total"), 3);
+  EXPECT_EQ(ExpositionValue(text, "qv_server_shed_total{opcode=\"S\"}"), 7);
+  EXPECT_EQ(ExpositionValue(text, "qv_server_level"), -4);
+  EXPECT_EQ(ExpositionValue(text, "qv_latency_us_count{opcode=\"S\"}"), 3);
+  EXPECT_EQ(ExpositionValue(text, "qv_latency_us_sum{opcode=\"S\"}"), 60);
+  // Missing: an absent name, a prefix of a name, a labeled series asked
+  // for without its labels, an empty name, an empty text.
+  EXPECT_EQ(ExpositionValue(text, "qv_server_missing_total"), std::nullopt);
+  EXPECT_EQ(ExpositionValue(text, "qv_server_shed"), std::nullopt);
+  EXPECT_EQ(ExpositionValue(text, "qv_server_opcode_shed_total"),
+            std::nullopt);
+  EXPECT_EQ(ExpositionValue(text, "qv_latency_us_count"), std::nullopt);
+  EXPECT_EQ(ExpositionValue(text, ""), std::nullopt);
+  EXPECT_EQ(ExpositionValue("", "qv_server_shed_total"), std::nullopt);
+  // A value that is not an integer is not read as one.
+  EXPECT_EQ(ExpositionValue("qv_x 1.5\n", "qv_x"), std::nullopt);
+}
+
 TEST(HistogramSnapshotTest, MatchesLiveHistogram) {
   Histogram h;
   for (uint64_t v = 1; v <= 1000; ++v) h.Record(v);
@@ -231,6 +282,38 @@ TEST(SlowQueryLogTest, KeepsWorstKAboveThreshold) {
   EXPECT_EQ(kept[0].latency_us, 500u);
   EXPECT_EQ(kept[1].latency_us, 300u);
   EXPECT_EQ(kept[2].latency_us, 200u);
+}
+
+TEST(SlowQueryLogTest, TextExpositionIsCommentLinesWorstFirst) {
+  SlowQueryLog log({.threshold_us = 0, .capacity = 4});
+  SlowQueryLog::Entry fast;
+  fast.latency_us = 40;
+  fast.request_id = 2;
+  fast.opcode = "Stats";
+  fast.description = "Stats";
+  log.Record(std::move(fast));
+  SlowQueryLog::Entry slow;
+  slow.latency_us = 900;
+  slow.request_id = 7;
+  slow.opcode = "Search";
+  slow.description = "search view=v keywords=a\nb";
+  slow.trace = "trace 7\n  shard shard=0 start=1us dur=800us\n";
+  log.Record(std::move(slow));
+
+  const std::string text = log.TextExposition();
+  EXPECT_EQ(text,
+            "# slow_query latency_us=900 request_id=7 opcode=Search "
+            "search view=v keywords=a\\nb\n"
+            "#   trace 7\n"
+            "#     shard shard=0 start=1us dur=800us\n"
+            "# slow_query latency_us=40 request_id=2 opcode=Stats Stats\n");
+  // Appended to a registry's exposition, the whole reply stays valid.
+  MetricsRegistry registry;
+  Counter c;
+  ASSERT_TRUE(registry.RegisterCounter("qv_x_total", {}, &c).ok());
+  ExpositionCheck check;
+  ValidateExposition(registry.TextExposition() + text, &check);
+  EXPECT_TRUE(SlowQueryLog({}).TextExposition().empty());
 }
 
 TEST(SlowQueryLogTest, ZeroCapacityDisables) {

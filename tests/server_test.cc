@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "index/index_builder.h"
+#include "obs/metrics.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "service/query_service.h"
@@ -27,6 +28,12 @@ namespace quickview::server {
 namespace {
 
 using std::chrono::milliseconds;
+
+/// One series of a Stats reply; -1 when the series is absent, so a
+/// missing series never passes for a zero.
+int64_t WireValue(const std::string& stats, std::string_view series) {
+  return obs::ExpositionValue(stats, series).value_or(-1);
+}
 
 /// All 64 ordered non-empty keyword subsets of the demo corpus' planted
 /// terms — pairwise-distinct plan signatures, so both services' caches
@@ -162,13 +169,17 @@ TEST_F(ServerTest, LoopbackByteParityOnMixedWorkload) {
           << "set " << i;
     }
   }
-  // Both caches saw the identical sequence.
-  StatsResponse remote_stats = server->SnapshotStats();
+  // Both caches saw the identical sequence, as the wire reports it.
+  auto remote_stats = client.Stats();
+  ASSERT_TRUE(remote_stats.ok()) << remote_stats.status().ToString();
   service::QueryService::Stats local_stats = local->stats();
-  EXPECT_EQ(remote_stats.queries, local_stats.queries);
-  EXPECT_EQ(remote_stats.cache_hits, local_stats.cache.hits);
-  EXPECT_EQ(remote_stats.cache_misses, local_stats.cache.misses);
-  EXPECT_EQ(remote_stats.protocol_errors, 0u);
+  EXPECT_EQ(WireValue(*remote_stats, "qv_service_queries_total"),
+            static_cast<int64_t>(local_stats.queries));
+  EXPECT_EQ(WireValue(*remote_stats, "qv_pdtcache_hits_total"),
+            static_cast<int64_t>(local_stats.cache.hits));
+  EXPECT_EQ(WireValue(*remote_stats, "qv_pdtcache_misses_total"),
+            static_cast<int64_t>(local_stats.cache.misses));
+  EXPECT_EQ(WireValue(*remote_stats, "qv_server_protocol_errors_total"), 0);
 }
 
 TEST_F(ServerTest, ErrorStatusParityOnTheWire) {
@@ -287,7 +298,7 @@ TEST_F(ServerTest, FullAdmissionQueueShedsImmediately) {
   ASSERT_TRUE(DecodeStatusPayload(frame->payload, &shed).ok());
   EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
   EXPECT_NE(shed.message().find("admission queue full"), std::string::npos);
-  StatsResponse mid = server->SnapshotStats();
+  ServerSnapshot mid = server->SnapshotStats();
   EXPECT_EQ(mid.shed, 1u);
   // Shedding is attributed to the opcode that was shed.
   EXPECT_EQ(mid.latency[static_cast<size_t>(Opcode::kSearch)].shed, 1u);
@@ -335,7 +346,7 @@ TEST_F(ServerTest, ExpiredDeadlineCrossesTheWireTyped) {
   Status expired;
   ASSERT_TRUE(DecodeStatusPayload(frame->payload, &expired).ok());
   EXPECT_EQ(expired.code(), StatusCode::kDeadlineExceeded);
-  StatsResponse stats = server->SnapshotStats();
+  ServerSnapshot stats = server->SnapshotStats();
   EXPECT_EQ(stats.deadline_rejected, 1u);
   EXPECT_EQ(
       stats.latency[static_cast<size_t>(Opcode::kSearch)].deadline_rejected,
@@ -362,12 +373,11 @@ TEST_F(ServerTest, ConnectionCapRejectsWithTypedError) {
   // The first connection is unaffected.
   auto again = first.Stats();
   ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_EQ(again->connections_rejected, 1u);
+  EXPECT_EQ(WireValue(*again, "qv_server_connections_rejected_total"), 1);
 }
 
 TEST_F(ServerTest, LiveBackendMutatesOverTheWire) {
-  auto live_db =
-      workload::GenerateBookRevDatabase(workload::BookRevOptions{});
+  auto live_db = workload::GenerateBookRevDatabase(workload::BookRevOptions{});
   storage::LiveDatabase live(live_db);
   service::QueryService service(&live);
   Status registered =
@@ -388,8 +398,8 @@ TEST_F(ServerTest, LiveBackendMutatesOverTheWire) {
   EXPECT_EQ(missing.code(), StatusCode::kNotFound);
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->documents_inserted, 1u);
-  EXPECT_EQ(stats->documents_removed, 1u);
+  EXPECT_EQ(WireValue(*stats, "qv_service_document_inserts_total"), 1);
+  EXPECT_EQ(WireValue(*stats, "qv_service_document_removes_total"), 1);
   server.Stop();
 }
 
@@ -448,7 +458,7 @@ TEST_F(ServerTest, StatsTextIsPrometheusExposition) {
   request.view = "default";
   request.keywords = {"xml"};
   ASSERT_TRUE(client.Search(request).ok());
-  auto text = client.StatsText();
+  auto text = client.Stats();
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   // One registry spans every layer: server frames and per-opcode latency
   // histograms next to the service, cache and buffer-pool series.
@@ -460,10 +470,69 @@ TEST_F(ServerTest, StatsTextIsPrometheusExposition) {
         "qv_pdtcache_misses_total 1"}) {
     EXPECT_NE(text->find(needle), std::string::npos) << needle << "\n" << *text;
   }
-  // The binary format is still the default on an empty payload.
-  auto binary = client.Stats();
-  ASSERT_TRUE(binary.ok()) << binary.status().ToString();
-  EXPECT_EQ(binary->queries, 1u);
+  EXPECT_EQ(WireValue(*text, "qv_service_queries_total"), 1);
+}
+
+TEST_F(ServerTest, StatsRequestWithPayloadIsTypedParseError) {
+  auto server = StartServer();
+  Client client = ConnectTo(*server);
+  ASSERT_TRUE(client.SetRecvTimeout(milliseconds(5000)).ok());
+  // A kStats request has an empty payload; a stray byte is a
+  // payload-level error that leaves the stream usable.
+  const std::string stray(1, '\x01');
+  ASSERT_TRUE(client.SendRequest(Opcode::kStats, 9, stray).ok());
+  auto frame = client.ReadFrame();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->request_id, 9u);
+  ASSERT_NE(frame->flags & kFlagError, 0);
+  Status rejected;
+  ASSERT_TRUE(DecodeStatusPayload(frame->payload, &rejected).ok());
+  EXPECT_EQ(rejected.code(), StatusCode::kParseError);
+  // The same connection keeps serving.
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(WireValue(*stats, "qv_server_protocol_errors_total"), 0);
+}
+
+TEST_F(ServerTest, DepthBombsGetTypedErrorsAndTheServerKeepsServing) {
+  auto live_db = workload::GenerateBookRevDatabase(workload::BookRevOptions{});
+  storage::LiveDatabase live(live_db);
+  service::QueryService service(&live);
+  ASSERT_TRUE(service.RegisterView("default", workload::BookRevView()).ok());
+  Server server(&service, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(client.SetRecvTimeout(milliseconds(30000)).ok());
+
+  // 100,000 nesting levels: ~600 KB per frame, far past both parsers'
+  // depth limit. Without the limit each one overflows the stack.
+  constexpr int kLevels = 100000;
+  std::string deep_xml;
+  for (int i = 0; i < kLevels; ++i) deep_xml += "<a>";
+  for (int i = 0; i < kLevels; ++i) deep_xml += "</a>";
+  Status inserted = client.Insert("deep.xml", deep_xml);
+  EXPECT_EQ(inserted.code(), StatusCode::kInvalidArgument)
+      << inserted.ToString();
+  EXPECT_NE(inserted.message().find("nesting"), std::string::npos)
+      << inserted.ToString();
+
+  std::string deep_view(kLevels, '(');
+  deep_view += "fn:doc(books.xml)/books//book";
+  deep_view += std::string(kLevels, ')');
+  Status registered = client.RegisterView("deep", deep_view);
+  EXPECT_EQ(registered.code(), StatusCode::kInvalidArgument)
+      << registered.ToString();
+  EXPECT_NE(registered.message().find("nesting"), std::string::npos)
+      << registered.ToString();
+
+  SearchRpcRequest request;
+  request.view = "default";
+  request.keywords = {"xml", "search"};
+  auto response = client.Search(request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_GT(response->hits.size(), 0u);
+  server.Stop();
 }
 
 TEST_F(ServerTest, SlowQueryLogSurfacesWorstRequests) {
@@ -479,11 +548,11 @@ TEST_F(ServerTest, SlowQueryLogSurfacesWorstRequests) {
     auto response = client.Search(request);  // never sets kFlagTrace
     ASSERT_TRUE(response.ok()) << response.status().ToString();
   }
-  StatsResponse stats = server->SnapshotStats();
+  ServerSnapshot stats = server->SnapshotStats();
   ASSERT_EQ(stats.slow_queries.size(), 2u);  // worst-K, not last-K
   EXPECT_GE(stats.slow_queries[0].latency_us, stats.slow_queries[1].latency_us);
-  for (const SlowQueryEntry& entry : stats.slow_queries) {
-    EXPECT_EQ(entry.opcode, static_cast<uint8_t>(Opcode::kSearch));
+  for (const obs::SlowQueryLog::Entry& entry : stats.slow_queries) {
+    EXPECT_EQ(entry.opcode, "Search");
     EXPECT_NE(entry.description.find("search view=default keywords=xml"),
               std::string::npos)
         << entry.description;
@@ -491,12 +560,41 @@ TEST_F(ServerTest, SlowQueryLogSurfacesWorstRequests) {
     // never asked, so the log can explain the latency.
     EXPECT_NE(entry.trace.find("shard"), std::string::npos) << entry.trace;
   }
-  // The log crosses the wire in the binary Stats payload.
+  // The log crosses the wire as comment lines after the exposition:
+  // both entries, worst first, each followed by its indented trace.
   auto wire = client.Stats();
   ASSERT_TRUE(wire.ok()) << wire.status().ToString();
-  ASSERT_EQ(wire->slow_queries.size(), 2u);
-  EXPECT_EQ(wire->slow_queries[0].opcode,
-            static_cast<uint8_t>(Opcode::kSearch));
+  std::vector<uint64_t> latencies;
+  size_t trace_lines = 0;
+  size_t pos = 0;
+  while (pos < wire->size()) {
+    const size_t eol = wire->find('\n', pos);
+    ASSERT_NE(eol, std::string::npos) << "reply must end with a newline";
+    const std::string line = wire->substr(pos, eol - pos);
+    pos = eol + 1;
+    const std::string entry_prefix = "# slow_query latency_us=";
+    if (line.rfind(entry_prefix, 0) == 0) {
+      const size_t request_id = line.find(" request_id=");
+      ASSERT_NE(request_id, std::string::npos) << line;
+      latencies.push_back(std::stoull(line.substr(
+          entry_prefix.size(), request_id - entry_prefix.size())));
+      EXPECT_NE(line.find(" opcode=Search search view=default keywords=xml"),
+                std::string::npos)
+          << line;
+    } else if (line.rfind("#   ", 0) == 0) {
+      ASSERT_FALSE(latencies.empty()) << "trace line before any entry";
+      ++trace_lines;
+    } else {
+      // Every other line is ordinary exposition, and all of it precedes
+      // the slow-query log.
+      EXPECT_TRUE(latencies.empty()) << line;
+    }
+  }
+  ASSERT_EQ(latencies.size(), 2u) << *wire;
+  EXPECT_GE(latencies[0], latencies[1]);
+  EXPECT_NE(wire->find("\n#   trace "), std::string::npos) << *wire;
+  EXPECT_NE(wire->find("\n#     shard shard=0"), std::string::npos) << *wire;
+  EXPECT_GE(trace_lines, 4u);
 }
 
 TEST_F(ServerTest, StopWithConnectedClientsIsClean) {

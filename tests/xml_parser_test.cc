@@ -1,7 +1,11 @@
 #include "xml/parser.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "index/index_builder.h"
 #include "xml/serializer.h"
 
 namespace quickview::xml {
@@ -86,6 +90,37 @@ TEST(XmlParserTest, DeepNesting) {
   auto result = ParseXml(input);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ((*result)->size(), 50u);
+}
+
+/// `levels` nested <a> elements around the text `inner`.
+std::string NestedElements(int levels, const std::string& inner) {
+  std::string out;
+  for (int i = 0; i < levels; ++i) out += "<a>";
+  out += inner;
+  for (int i = 0; i < levels; ++i) out += "</a>";
+  return out;
+}
+
+TEST(XmlParserTest, DocumentAtTheNestingLimitParsesIndexesAndSerializes) {
+  const std::string input = NestedElements(kMaxNestingDepth, "deepword");
+  auto result = ParseXml(input);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ((*result)->size(), static_cast<size_t>(kMaxNestingDepth));
+  EXPECT_EQ(Serialize(**result), input);
+  auto indexes = index::BuildDocumentIndexes(**result);
+  const std::vector<index::Posting> postings =
+      indexes->inverted_index.Lookup("deepword");
+  ASSERT_EQ(postings.size(), 1u);
+  EXPECT_EQ(postings[0].id.depth(), static_cast<size_t>(kMaxNestingDepth));
+}
+
+TEST(XmlParserTest, NestingPastTheLimitIsInvalidArgument) {
+  for (int levels : {kMaxNestingDepth + 1, 100000}) {
+    const Status status = ParseXml(NestedElements(levels, "x")).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << levels << " levels: " << status;
+    EXPECT_NE(status.message().find("nesting"), std::string::npos) << status;
+  }
 }
 
 }  // namespace

@@ -165,5 +165,55 @@ TEST(ParserTest, ExprToStringRoundtrips) {
   EXPECT_EQ(ExprToString(*q2->body), text);
 }
 
+/// A view whose path sits inside `levels` nestings of one construct.
+struct Construct {
+  const char* open;
+  const char* close;
+};
+constexpr Construct kConstructs[] = {
+    {"(", ")"},                     {"<a>{", "}</a>"},
+    {"$x[", "]"},                   {"f(", ")"},
+    {"for $x in ", " return $x"},   {"if $x then ", " else $x"},
+};
+
+std::string Nested(const Construct& construct, int levels) {
+  std::string out;
+  for (int i = 0; i < levels; ++i) out += construct.open;
+  out += "fn:doc(books.xml)/books//book";
+  for (int i = 0; i < levels; ++i) out += construct.close;
+  return out;
+}
+
+std::string KeywordQueryOver(const std::string& view) {
+  return "let $v := " + view +
+         " for $x in $v where $x ftcontains('xml') return $x";
+}
+
+TEST(ParserTest, QueryAtTheNestingLimitParses) {
+  for (const Construct& construct : kConstructs) {
+    const std::string view = Nested(construct, kMaxNestingDepth);
+    auto parsed = ParseQuery(view);
+    EXPECT_TRUE(parsed.ok()) << construct.open << ": " << parsed.status();
+    auto keyword = ParseKeywordQuery(KeywordQueryOver(view));
+    EXPECT_TRUE(keyword.ok()) << construct.open << ": " << keyword.status();
+  }
+}
+
+TEST(ParserTest, NestingPastTheLimitIsInvalidArgument) {
+  for (int levels : {kMaxNestingDepth + 1, 100000}) {
+    for (const Construct& construct : kConstructs) {
+      const std::string view = Nested(construct, levels);
+      const Status status = ParseQuery(view).status();
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << construct.open << " x" << levels << ": " << status;
+      EXPECT_NE(status.message().find("nesting"), std::string::npos)
+          << status;
+      EXPECT_EQ(ParseKeywordQuery(KeywordQueryOver(view)).status().code(),
+                StatusCode::kInvalidArgument)
+          << construct.open << " x" << levels;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace quickview::xquery

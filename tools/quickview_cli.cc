@@ -74,6 +74,7 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -241,6 +242,16 @@ Result<service::Backend> OpenCorpus(const service::BackendSpec& spec) {
 
 int CmdIndex(const Flags& flags) {
   if (flags.positional.empty() || flags.out.empty()) return Usage();
+  // A document is named by its file's basename (the name fn:doc() uses),
+  // so two inputs sharing one would leave a single document behind.
+  std::map<std::string, std::string> file_by_name;
+  for (const std::string& file : flags.positional) {
+    auto [it, inserted] = file_by_name.emplace(BaseName(file), file);
+    if (!inserted) {
+      return Fail(Status::InvalidArgument(
+          it->second + " and " + file + " both name document " + it->first));
+    }
+  }
   xml::Database db;
   for (const std::string& file : flags.positional) {
     auto content = ReadFile(file);

@@ -12,10 +12,13 @@
 // breakdown (plan / build_pdts / evaluate per shard, merge,
 // materialize) flame-style.
 #include <cstdio>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/strings.h"
+#include "obs/metrics.h"
 #include "server/client.h"
 #include "server/load_driver.h"
 #include "server/protocol.h"
@@ -141,15 +144,23 @@ int main(int argc, char** argv) {
   if (!connected.ok()) return Fail(connected);
   auto stats = client.Stats();
   if (!stats.ok()) return Fail(stats.status());
+  const char* const kSeries[] = {
+      "qv_server_admitted_total",          "qv_server_shed_total",
+      "qv_server_deadline_rejected_total", "qv_server_open_cursors",
+      "qv_server_protocol_errors_total",   "qv_service_queries_total"};
+  long long values[std::size(kSeries)] = {};
+  for (size_t i = 0; i < std::size(kSeries); ++i) {
+    std::optional<int64_t> value = obs::ExpositionValue(*stats, kSeries[i]);
+    if (!value) {
+      return Fail(Status::Internal(std::string("server stats lack ") +
+                                   kSeries[i]));
+    }
+    values[i] = static_cast<long long>(*value);
+  }
   std::printf(
-      "server stats: admitted %llu shed %llu deadline-rejected %llu "
-      "open-cursors %llu protocol-errors %llu queries %llu\n",
-      static_cast<unsigned long long>(stats->admitted),
-      static_cast<unsigned long long>(stats->shed),
-      static_cast<unsigned long long>(stats->deadline_rejected),
-      static_cast<unsigned long long>(stats->open_cursors),
-      static_cast<unsigned long long>(stats->protocol_errors),
-      static_cast<unsigned long long>(stats->queries));
+      "server stats: admitted %lld shed %lld deadline-rejected %lld "
+      "open-cursors %lld protocol-errors %lld queries %lld\n",
+      values[0], values[1], values[2], values[3], values[4], values[5]);
 
   if (trace) {
     // One traced request per keyword set: the server's span tree is the

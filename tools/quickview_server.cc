@@ -26,8 +26,9 @@
 // "<port>\n" once listening, which is how the smoke test and local
 // scripts find the server. SIGINT/SIGTERM shut down cleanly: stop
 // accepting, close connections, drain workers, then print final stats
-// (per-opcode latency/shed/deadline table + slow-query log) and dump
-// the full Prometheus exposition of the metrics registry.
+// (per-opcode latency/shed/deadline table) and the same text the Stats
+// RPC serves: the Prometheus exposition of the metrics registry followed
+// by the slow-query log as comment lines.
 //
 // --trace-all traces every request server-side so slow-query-log
 // entries carry span trees; --slow-threshold-us / --slow-log tune what
@@ -151,7 +152,8 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
   return true;
 }
 
-void PrintFinalStats(const server::StatsResponse& stats) {
+void PrintFinalStats(const server::ServerSnapshot& stats,
+                     const service::QueryService::Stats& service) {
   std::printf(
       "final stats: %llu admitted, %llu shed, %llu deadline-rejected, "
       "%llu protocol errors\n",
@@ -180,22 +182,9 @@ void PrintFinalStats(const server::StatsResponse& stats) {
         static_cast<unsigned long long>(l.deadline_rejected));
   }
   std::printf("service: %llu queries, cache hits %llu misses %llu\n",
-              static_cast<unsigned long long>(stats.queries),
-              static_cast<unsigned long long>(stats.cache_hits),
-              static_cast<unsigned long long>(stats.cache_misses));
-  if (!stats.slow_queries.empty()) {
-    std::printf("slow queries (worst first):\n");
-    for (const server::SlowQueryEntry& entry : stats.slow_queries) {
-      std::printf("  %8lluus  id=%llu  %s  %s\n",
-                  static_cast<unsigned long long>(entry.latency_us),
-                  static_cast<unsigned long long>(entry.request_id),
-                  server::OpcodeName(static_cast<server::Opcode>(entry.opcode)),
-                  entry.description.c_str());
-      if (!entry.trace.empty()) {
-        std::printf("%s", entry.trace.c_str());
-      }
-    }
-  }
+              static_cast<unsigned long long>(service.queries),
+              static_cast<unsigned long long>(service.cache.hits),
+              static_cast<unsigned long long>(service.cache.misses));
 }
 
 int Run(const Flags& flags) {
@@ -254,9 +243,9 @@ int Run(const Flags& flags) {
   }
   std::printf("caught signal %d, shutting down\n", signal_number);
   server.Stop();
-  PrintFinalStats(server.SnapshotStats());
-  // The same bytes `kStats format=text` serves — scrapeable post-mortem.
-  std::printf("metrics exposition:\n%s", server.MetricsText().c_str());
+  PrintFinalStats(server.SnapshotStats(), query_service->stats());
+  // The same bytes the Stats RPC serves — scrapeable post-mortem.
+  std::printf("stats exposition:\n%s", server.StatsText().c_str());
   return 0;
 }
 
