@@ -45,8 +45,8 @@ void BM_PathIndexProbe(benchmark::State& state) {
                              index::PathStep{true, "article"},
                              index::PathStep{false, "year"}};
   for (auto _ : state) {
-    auto entries = index.LookUpIdValue(pattern);
-    benchmark::DoNotOptimize(entries);
+    auto rows = index.LookUpPerPath(pattern, /*with_values=*/true);
+    benchmark::DoNotOptimize(rows);
   }
 }
 BENCHMARK(BM_PathIndexProbe)->Unit(benchmark::kMicrosecond);

@@ -202,9 +202,9 @@ Result<std::shared_ptr<const PreparedQuery>> ViewSearchEngine::BuildPdtsImpl(
   prepared->pdts.reserve(prepared->plan.qpts.size());
   for (const qpt::Qpt& q : prepared->plan.qpts) {
     if (cancel != nullptr && cancel->Fired()) return cancel->ToStatus();
-    std::optional<index::DocumentIndexView> doc_indexes =
+    const index::DocumentIndexView* doc_indexes =
         indexes->GetView(q.source_doc);
-    if (!doc_indexes.has_value()) {
+    if (doc_indexes == nullptr) {
       return Status::NotFound("no indexes for document '" + q.source_doc +
                               "'");
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <vector>
 
 namespace quickview::index {
 
@@ -57,13 +58,10 @@ int ChildIndex(const std::vector<std::string>& keys, std::string_view key) {
 
 BTree::Leaf* BTree::FindLeaf(std::string_view key) const {
   Node* node = root_;
-  uint64_t visited = 1;
   while (!node->is_leaf) {
     Interior* interior = static_cast<Interior*>(node);
     node = interior->children[ChildIndex(interior->keys, key)];
-    ++visited;
   }
-  CountNodeVisits(visited);
   return static_cast<Leaf*>(node);
 }
 
@@ -137,7 +135,6 @@ bool BTree::Get(std::string_view key, std::string* value) const {
                                return std::string_view(a) < b;
                              });
   if (it == leaf->keys.end() || *it != key) return false;
-  CountEntriesScanned(1);
   if (value != nullptr) {
     *value = leaf->values[it - leaf->keys.begin()];
   }
@@ -174,21 +171,11 @@ const std::string& BTree::Iterator::value() const {
 
 void BTree::Iterator::Next() {
   assert(Valid());
-  ++pending_entries_;
   ++pos_;
   while (leaf_ != nullptr && pos_ >= static_cast<int>(leaf_->keys.size())) {
     leaf_ = leaf_->next;
     pos_ = 0;
-    if (leaf_ != nullptr) ++pending_nodes_;
   }
-}
-
-void BTree::Iterator::Flush() {
-  if (tree_ == nullptr) return;
-  if (pending_entries_ != 0) tree_->CountEntriesScanned(pending_entries_);
-  if (pending_nodes_ != 0) tree_->CountNodeVisits(pending_nodes_);
-  pending_entries_ = 0;
-  pending_nodes_ = 0;
 }
 
 BTree::Iterator BTree::Seek(std::string_view key) const {
@@ -198,7 +185,6 @@ BTree::Iterator BTree::Seek(std::string_view key) const {
                                return std::string_view(a) < b;
                              });
   Iterator iter;
-  iter.tree_ = this;
   iter.leaf_ = leaf;
   iter.pos_ = static_cast<int>(it - leaf->keys.begin());
   // Skip an exhausted leaf (possible after lazy deletes).
@@ -211,15 +197,5 @@ BTree::Iterator BTree::Seek(std::string_view key) const {
 }
 
 BTree::Iterator BTree::Begin() const { return Seek(""); }
-
-std::vector<std::pair<std::string, std::string>> BTree::PrefixScan(
-    std::string_view prefix) const {
-  std::vector<std::pair<std::string, std::string>> out;
-  for (Iterator it = Seek(prefix); it.Valid(); it.Next()) {
-    if (it.key().compare(0, prefix.size(), prefix) != 0) break;
-    out.emplace_back(it.key(), it.value());
-  }
-  return out;
-}
 
 }  // namespace quickview::index

@@ -26,13 +26,6 @@ bool DatabaseIndexes::Remove(const std::string& doc_name) {
   return indexes_.erase(doc_name) != 0;
 }
 
-std::optional<DocumentIndexView> DatabaseIndexes::GetView(
-    const std::string& doc_name) const {
-  const DocumentIndexes* doc_indexes = Get(doc_name);
-  if (doc_indexes == nullptr) return std::nullopt;
-  return doc_indexes->View();
-}
-
 namespace {
 
 void IndexSubtree(const xml::Document& doc, xml::NodeIndex index,

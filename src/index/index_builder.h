@@ -1,12 +1,14 @@
 // Builds the per-document path and inverted-list indices for a Database —
 // the offline "load time" work of a traditional full-text XML engine
 // (paper §1), after which queries over virtual views never scan base data.
+// Each document's DocumentIndexes is itself the in-memory backing of the
+// query-time seam (index/index_view.h): it answers the two PDT probes
+// from its own B+-trees.
 #ifndef QUICKVIEW_INDEX_INDEX_BUILDER_H_
 #define QUICKVIEW_INDEX_INDEX_BUILDER_H_
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "index/index_view.h"
@@ -16,20 +18,20 @@
 
 namespace quickview::index {
 
-/// The indices for one document. Always heap-allocated and pinned (the
-/// views below point back into this object), hence neither copyable nor
-/// movable.
-struct DocumentIndexes {
+/// The indices for one document, serving the two query-time probes
+/// straight from its in-memory B+-trees.
+class DocumentIndexes final : public DocumentIndexView {
+ public:
   PathIndex path_index;
   InvertedIndex inverted_index;
 
-  DocumentIndexes() = default;
-  DocumentIndexes(const DocumentIndexes&) = delete;
-  DocumentIndexes& operator=(const DocumentIndexes&) = delete;
-
-  /// The PageSource-style view the PDT pipeline consumes; valid while
-  /// this object lives.
-  DocumentIndexView View() const { return {&path_view_, &term_view_}; }
+  Result<std::vector<PathRows>> LookUpPerPath(
+      const PathPattern& pattern, bool with_values) const override {
+    return path_index.LookUpPerPath(pattern, with_values);
+  }
+  Result<std::vector<Posting>> Lookup(const std::string& term) const override {
+    return inverted_index.Lookup(term);
+  }
 
   /// Incremental write path (live document updates): adds / removes every
   /// path-index entry and posting of `doc` in place, without rebuilding.
@@ -38,10 +40,6 @@ struct DocumentIndexes {
   /// output); external synchronization against concurrent readers.
   void AddDocument(const xml::Document& doc);
   void RemoveDocument(const xml::Document& doc);
-
- private:
-  InMemoryPathIndexView path_view_{&path_index};
-  InMemoryTermIndexView term_view_{&inverted_index};
 };
 
 /// Indices for every document in a database, keyed by document name (the
@@ -58,8 +56,10 @@ class DatabaseIndexes : public IndexSource {
   /// corpus granularity); returns whether they existed.
   bool Remove(const std::string& doc_name);
 
-  std::optional<DocumentIndexView> GetView(
-      const std::string& doc_name) const override;
+  const DocumentIndexView* GetView(
+      const std::string& doc_name) const override {
+    return Get(doc_name);
+  }
 
   const std::map<std::string, std::unique_ptr<DocumentIndexes>>& all() const {
     return indexes_;

@@ -1,16 +1,16 @@
-// Index views: the PageSource-facing abstraction of the two query-time
-// index surfaces. The PDT pipeline only ever issues the probe set of
-// paper Fig 7 (path-pattern lookups and inverted-list retrievals), so
-// that narrow surface is what gets virtualized: the same PrepareLists /
-// GeneratePdt code runs over the in-memory B+-trees (index/btree.h) or
-// over disk-resident B-tree pages pulled on demand through a buffer pool
-// (pagestore/packed_db.h). Lookups against a paged backing can fail with
-// real I/O errors (truncated file, checksum mismatch), so every view
-// method returns Result<> even though the in-memory adapters cannot fail.
+// The query-time index seam. PDT generation (PrepareLists, paper §4.2.1,
+// Fig 7) issues exactly two kinds of index probe: one path-index lookup
+// per probed QPT node and one inverted-list retrieval per keyword. That
+// pair is all DocumentIndexView declares, so the same PrepareLists /
+// GeneratePdt code runs over the in-memory B+-trees (DocumentIndexes,
+// index/index_builder.h) or over disk-resident B-tree pages pulled on
+// demand through a buffer pool (pagestore/packed_db.h). Probes against a
+// paged backing can fail with real I/O errors (truncated file, checksum
+// mismatch), so both return Result<> even though the in-memory backing
+// cannot fail.
 #ifndef QUICKVIEW_INDEX_INDEX_VIEW_H_
 #define QUICKVIEW_INDEX_INDEX_VIEW_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,120 +20,33 @@
 
 namespace quickview::index {
 
-/// Query-time surface of a path index (paper §3.2, Fig 5).
-class PathIndexView {
+/// The two probes of one document's indexes (paper §3.2, Figs 4b and 5).
+class DocumentIndexView {
  public:
-  virtual ~PathIndexView() = default;
+  virtual ~DocumentIndexView() = default;
 
-  /// Distinct full data paths matching the pattern, in path order.
-  virtual Result<std::vector<std::string>> ExpandPattern(
-      const PathPattern& pattern) const = 0;
-
-  /// All ids on paths matching `pattern`, merged into one Dewey-ordered
-  /// list; values are not materialized.
-  virtual Result<std::vector<PathEntry>> LookUpId(
-      const PathPattern& pattern) const = 0;
-
-  /// As LookUpId but each entry carries its atomic value.
-  virtual Result<std::vector<PathEntry>> LookUpIdValue(
-      const PathPattern& pattern) const = 0;
-
-  /// Ids on paths matching `pattern` whose atomic value equals `value`.
-  virtual Result<std::vector<PathEntry>> LookUpValue(
-      const PathPattern& pattern, const std::string& value) const = 0;
-
-  /// One (data path, Dewey-ordered entries) group per distinct matching
-  /// full data path.
+  /// One (data path, Dewey-ordered entries) group per distinct full data
+  /// path matching `pattern`, in path order; entries carry their atomic
+  /// value when `with_values`.
   virtual Result<std::vector<PathRows>> LookUpPerPath(
       const PathPattern& pattern, bool with_values) const = 0;
-};
-
-/// Query-time surface of an inverted-list index (paper §3.2, Fig 4b).
-class TermIndexView {
- public:
-  virtual ~TermIndexView() = default;
 
   /// Full postings list for `term`, Dewey-ordered; empty if unknown.
   virtual Result<std::vector<Posting>> Lookup(
       const std::string& term) const = 0;
-
-  /// Point probe: does element `id` directly contain `term`?
-  virtual Result<bool> Contains(const std::string& term,
-                                const xml::DeweyId& id,
-                                uint32_t* tf) const = 0;
-
-  /// Number of elements directly containing `term`.
-  virtual Result<uint64_t> ListLength(const std::string& term) const = 0;
 };
 
-/// The two views of one document's indices, as consumed by PrepareLists /
-/// GeneratePdt. Non-owning; valid while the backing IndexSource lives.
-struct DocumentIndexView {
-  const PathIndexView* paths = nullptr;
-  const TermIndexView* terms = nullptr;
-};
-
-/// Where a query finds the indices of a document: the in-memory
+/// Where a query finds the indexes of a document: the in-memory
 /// DatabaseIndexes or a packed on-disk database. Lookup by the document
 /// name used in fn:doc().
 class IndexSource {
  public:
   virtual ~IndexSource() = default;
 
-  /// std::nullopt if no indices exist for `doc_name`. The returned
-  /// pointers stay valid for the lifetime of the source.
-  virtual std::optional<DocumentIndexView> GetView(
+  /// nullptr if no indexes exist for `doc_name`. The view stays valid
+  /// while the source lives and the document is not removed.
+  virtual const DocumentIndexView* GetView(
       const std::string& doc_name) const = 0;
-};
-
-/// In-memory adapters: forward to the concrete B+-tree-backed indexes,
-/// which cannot fail.
-class InMemoryPathIndexView final : public PathIndexView {
- public:
-  explicit InMemoryPathIndexView(const PathIndex* impl) : impl_(impl) {}
-
-  Result<std::vector<std::string>> ExpandPattern(
-      const PathPattern& pattern) const override {
-    return impl_->ExpandPattern(pattern);
-  }
-  Result<std::vector<PathEntry>> LookUpId(
-      const PathPattern& pattern) const override {
-    return impl_->LookUpId(pattern);
-  }
-  Result<std::vector<PathEntry>> LookUpIdValue(
-      const PathPattern& pattern) const override {
-    return impl_->LookUpIdValue(pattern);
-  }
-  Result<std::vector<PathEntry>> LookUpValue(
-      const PathPattern& pattern, const std::string& value) const override {
-    return impl_->LookUpValue(pattern, value);
-  }
-  Result<std::vector<PathRows>> LookUpPerPath(const PathPattern& pattern,
-                                              bool with_values) const override {
-    return impl_->LookUpPerPath(pattern, with_values);
-  }
-
- private:
-  const PathIndex* impl_;
-};
-
-class InMemoryTermIndexView final : public TermIndexView {
- public:
-  explicit InMemoryTermIndexView(const InvertedIndex* impl) : impl_(impl) {}
-
-  Result<std::vector<Posting>> Lookup(const std::string& term) const override {
-    return impl_->Lookup(term);
-  }
-  Result<bool> Contains(const std::string& term, const xml::DeweyId& id,
-                        uint32_t* tf) const override {
-    return impl_->Contains(term, id, tf);
-  }
-  Result<uint64_t> ListLength(const std::string& term) const override {
-    return static_cast<uint64_t>(impl_->ListLength(term));
-  }
-
- private:
-  const InvertedIndex* impl_;
 };
 
 }  // namespace quickview::index

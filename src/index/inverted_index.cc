@@ -55,14 +55,6 @@ std::vector<Posting> InvertedIndex::Lookup(const std::string& term) const {
   return out;
 }
 
-bool InvertedIndex::Contains(const std::string& term, const xml::DeweyId& id,
-                             uint32_t* tf) const {
-  std::string encoded;
-  if (!tree_.Get(MakeKey(term, id), &encoded)) return false;
-  if (tf != nullptr) *tf = DecodeTf(encoded);
-  return true;
-}
-
 void InvertedIndex::ForEachPosting(
     const std::function<void(const std::string&, const xml::DeweyId&,
                              uint32_t)>& fn) const {
@@ -72,17 +64,6 @@ void InvertedIndex::ForEachPosting(
        xml::DeweyId::Decode(it.key().substr(sep + 1)),
        DecodeTf(it.value()));
   }
-}
-
-size_t InvertedIndex::ListLength(const std::string& term) const {
-  size_t count = 0;
-  std::string prefix = term;
-  prefix.push_back(kKeySep);
-  for (BTree::Iterator it = tree_.Seek(prefix); it.Valid(); it.Next()) {
-    if (it.key().compare(0, prefix.size(), prefix) != 0) break;
-    ++count;
-  }
-  return count;
 }
 
 }  // namespace quickview::index

@@ -1,10 +1,9 @@
 // Inverted-list index (paper §3.2, Fig 4b): for each term, the Dewey-
 // ordered list of elements that *directly* contain it, with the term
-// frequency. A B+-tree over (term, id) composite keys provides both full
-// list retrieval (prefix scan) and point containment probes, matching
-// "an index such as a B+-tree is usually built on top of each inverted
-// list so that we can efficiently check whether a given element contains
-// a keyword".
+// frequency, in a B+-tree over (term, id) composite keys ("an index such
+// as a B+-tree is usually built on top of each inverted list"). Queries
+// retrieve whole lists (a scan of the term's key prefix); the write path
+// adds and removes single postings by key.
 #ifndef QUICKVIEW_INDEX_INVERTED_INDEX_H_
 #define QUICKVIEW_INDEX_INVERTED_INDEX_H_
 
@@ -42,14 +41,6 @@ class InvertedIndex {
   /// Full postings list for `term`, Dewey-ordered. Empty if unknown.
   std::vector<Posting> Lookup(const std::string& term) const;
 
-  /// Point probe: does element `id` directly contain `term`? Fills `*tf`
-  /// when non-null.
-  bool Contains(const std::string& term, const xml::DeweyId& id,
-                uint32_t* tf = nullptr) const;
-
-  /// Number of elements directly containing `term`.
-  size_t ListLength(const std::string& term) const;
-
   /// Iterates every (term, id, tf) posting in (term, id) order. Used by
   /// persistence.
   void ForEachPosting(
@@ -58,8 +49,6 @@ class InvertedIndex {
       const;
 
   size_t size() const { return tree_.size(); }
-  BTree::Stats stats() const { return tree_.stats(); }
-  void ResetStats() { tree_.ResetStats(); }
 
  private:
   static std::string MakeKey(const std::string& term, const xml::DeweyId& id);

@@ -41,6 +41,8 @@ uint64_t ReadU64(const std::string& in, size_t* pos) {
   return v;
 }
 
+bool ByDewey(const PathEntry& a, const PathEntry& b) { return a.id < b.id; }
+
 }  // namespace
 
 std::string MakePathValueKey(const std::string& path,
@@ -218,25 +220,18 @@ std::vector<std::string> PathIndex::ExpandPattern(
   return out;
 }
 
-std::vector<PathEntry> PathIndex::Collect(const PathPattern& pattern,
-                                          bool with_values) const {
-  std::vector<PathEntry> out;
-  for (const std::string& path : ExpandPattern(pattern)) {
-    // Prefix scan over all (path, value) rows for this path: the path plus
-    // separator is a prefix of the composite key.
-    std::string prefix = path;
-    prefix.push_back(kKeySep);
-    for (BTree::Iterator it = tree_.Seek(prefix); it.Valid(); it.Next()) {
-      if (it.key().compare(0, prefix.size(), prefix) != 0) break;
-      std::optional<std::string> value;
-      if (with_values) value = it.key().substr(prefix.size());
-      DecodePathEntryListInto(it.value(), value, &out);
-    }
+void PathIndex::AppendPathEntries(const std::string& path, bool with_values,
+                                  std::vector<PathEntry>* out) const {
+  // The path plus separator is a prefix of the composite key of every
+  // (path, value) row on that path.
+  std::string prefix = path;
+  prefix.push_back(kKeySep);
+  for (BTree::Iterator it = tree_.Seek(prefix); it.Valid(); it.Next()) {
+    if (it.key().compare(0, prefix.size(), prefix) != 0) break;
+    std::optional<std::string> value;
+    if (with_values) value = it.key().substr(prefix.size());
+    DecodePathEntryListInto(it.value(), value, out);
   }
-  // Merge the per-row Dewey-ordered lists into one ordered list.
-  std::sort(out.begin(), out.end(),
-            [](const PathEntry& a, const PathEntry& b) { return a.id < b.id; });
-  return out;
 }
 
 void PathIndex::ForEachRow(
@@ -260,48 +255,26 @@ void PathIndex::ForEachRaw(
   }
 }
 
-std::vector<PathIndex::PathRows> PathIndex::LookUpPerPath(
-    const PathPattern& pattern, bool with_values) const {
+std::vector<PathRows> PathIndex::LookUpPerPath(const PathPattern& pattern,
+                                               bool with_values) const {
   std::vector<PathRows> out;
   for (const std::string& path : ExpandPattern(pattern)) {
     PathRows rows;
     rows.path = path;
-    std::string prefix = path;
-    prefix.push_back(kKeySep);
-    for (BTree::Iterator it = tree_.Seek(prefix); it.Valid(); it.Next()) {
-      if (it.key().compare(0, prefix.size(), prefix) != 0) break;
-      std::optional<std::string> value;
-      if (with_values) value = it.key().substr(prefix.size());
-      DecodePathEntryListInto(it.value(), value, &rows.entries);
-    }
-    std::sort(
-        rows.entries.begin(), rows.entries.end(),
-        [](const PathEntry& a, const PathEntry& b) { return a.id < b.id; });
+    AppendPathEntries(path, with_values, &rows.entries);
+    std::sort(rows.entries.begin(), rows.entries.end(), ByDewey);
     if (!rows.entries.empty()) out.push_back(std::move(rows));
   }
   return out;
 }
 
 std::vector<PathEntry> PathIndex::LookUpId(const PathPattern& pattern) const {
-  return Collect(pattern, /*with_values=*/false);
-}
-
-std::vector<PathEntry> PathIndex::LookUpIdValue(
-    const PathPattern& pattern) const {
-  return Collect(pattern, /*with_values=*/true);
-}
-
-std::vector<PathEntry> PathIndex::LookUpValue(const PathPattern& pattern,
-                                              const std::string& value) const {
   std::vector<PathEntry> out;
   for (const std::string& path : ExpandPattern(pattern)) {
-    std::string encoded;
-    if (tree_.Get(MakePathValueKey(path, value), &encoded)) {
-      DecodePathEntryListInto(encoded, value, &out);
-    }
+    AppendPathEntries(path, /*with_values=*/false, &out);
   }
-  std::sort(out.begin(), out.end(),
-            [](const PathEntry& a, const PathEntry& b) { return a.id < b.id; });
+  // Merge the per-row Dewey-ordered lists into one ordered list.
+  std::sort(out.begin(), out.end(), ByDewey);
   return out;
 }
 

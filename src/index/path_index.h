@@ -1,11 +1,10 @@
 // Path index (paper §3.2, Fig 5): a Path-Values table with one row per
 // unique (Path, Value) pair, mapping to the Dewey-ordered list of ids of
 // elements on that path with that atomic value, backed by a B+-tree over
-// the composite (Path, Value) key. Supports
-//  - value-predicate probes:  (path, value) exact key lookup,
-//  - path probes:             prefix scan on the path component,
-//  - descendant axes:         expansion of '//' patterns against the
-//                             dictionary of distinct full data paths.
+// the composite (Path, Value) key. A probe expands a '//' pattern
+// against the dictionary of distinct full data paths, then scans each
+// matching path's rows as one key prefix; value predicates are checked
+// on the values that scan returns.
 // Entries additionally carry the subtree byte length of each element,
 // which is how PDTs obtain byte lengths "solely using indices".
 #ifndef QUICKVIEW_INDEX_PATH_INDEX_H_
@@ -38,7 +37,7 @@ using PathPattern = std::vector<PathStep>;
 std::string PatternToString(const PathPattern& pattern);
 
 /// An id retrieved from the path index, with its element's subtree byte
-/// length and (for LookUpIdValue) its atomic value.
+/// length and (when the probe asked for values) its atomic value.
 struct PathEntry {
   xml::DeweyId id;
   uint64_t byte_length = 0;
@@ -113,18 +112,10 @@ class PathIndex {
   /// list (LookUpID of Fig 7). Values are not materialized.
   std::vector<PathEntry> LookUpId(const PathPattern& pattern) const;
 
-  /// As LookUpId but each entry carries its atomic value (LookUpIDValue
-  /// of Fig 7 — "combining retrieval of IDs and values").
-  std::vector<PathEntry> LookUpIdValue(const PathPattern& pattern) const;
-
-  /// Ids on paths matching `pattern` whose atomic value equals `value`
-  /// (equality-predicate probe using the composite key).
-  std::vector<PathEntry> LookUpValue(const PathPattern& pattern,
-                                     const std::string& value) const;
-
-  /// Compatibility alias: PathRows now lives at namespace scope so the
-  /// on-disk path index can return the same row type.
-  using PathRows = ::quickview::index::PathRows;
+  /// One Dewey-ordered row group per distinct data path matching
+  /// `pattern`, in path order; with `with_values` each entry carries its
+  /// atomic value (LookUpIDValue of Fig 7 — "combining retrieval of IDs
+  /// and values"). The path probe PDT generation issues.
   std::vector<PathRows> LookUpPerPath(const PathPattern& pattern,
                                       bool with_values) const;
 
@@ -151,12 +142,12 @@ class PathIndex {
 
   size_t distinct_paths() const { return paths_.size(); }
   size_t rows() const { return tree_.size(); }
-  BTree::Stats stats() const { return tree_.stats(); }
-  void ResetStats() { tree_.ResetStats(); }
 
  private:
-  std::vector<PathEntry> Collect(const PathPattern& pattern,
-                                 bool with_values) const;
+  /// Appends the entries of every (path, value) row of the data path
+  /// `path`, in key order; values attached when `with_values`.
+  void AppendPathEntries(const std::string& path, bool with_values,
+                         std::vector<PathEntry>* out) const;
 
   BTree tree_;
   // Buffered rows before Finalize: (path, value) -> entries.

@@ -81,115 +81,30 @@ Status DecodePostingRun(const std::string& encoded,
 }  // namespace
 
 // --------------------------------------------------------------------------
-// PagedPathIndex — the same probe algorithms as the in-memory PathIndex,
-// expressed over DiskBTree scans.
+// PackedDocument — the two index probes over disk B-tree scans.
 // --------------------------------------------------------------------------
 
-Result<std::vector<std::string>> PagedPathIndex::ExpandPattern(
-    const index::PathPattern& pattern) const {
-  std::vector<std::string> out;
-  for (const std::string& path : paths_) {
-    if (index::PatternMatchesPath(pattern, path)) out.push_back(path);
-  }
-  return out;
-}
-
-Status PagedPathIndex::ForEachPathRow(
-    const std::string& path,
-    const std::function<Result<bool>(std::string&& row_value,
-                                     const std::string& entries_encoded)>&
-        fn) const {
-  std::string prefix = path;
-  prefix.push_back(kPathKeySep);
-  return tree_.ScanFrom(
-      prefix,
-      [&](std::string_view key,
-          const DiskBTree::ValueRef& value) -> Result<bool> {
-        if (key.substr(0, prefix.size()) != prefix) return false;
-        QUICKVIEW_ASSIGN_OR_RETURN(std::string payload, value.Read());
-        std::string row_value;
-        std::string entries_encoded;
-        QUICKVIEW_RETURN_IF_ERROR(
-            SplitPathRow(payload, &row_value, &entries_encoded));
-        return fn(std::move(row_value), entries_encoded);
-      });
-}
-
-Result<std::vector<index::PathEntry>> PagedPathIndex::Collect(
+Result<std::vector<index::PathRows>> PackedDb::PackedDocument::LookUpPerPath(
     const index::PathPattern& pattern, bool with_values) const {
-  QUICKVIEW_ASSIGN_OR_RETURN(std::vector<std::string> expanded,
-                             ExpandPattern(pattern));
-  std::vector<index::PathEntry> out;
-  for (const std::string& path : expanded) {
-    QUICKVIEW_RETURN_IF_ERROR(ForEachPathRow(
-        path,
-        [&](std::string&& row_value,
-            const std::string& entries_encoded) -> Result<bool> {
-          std::optional<std::string> attach;
-          if (with_values) attach = std::move(row_value);
-          index::DecodePathEntryListInto(entries_encoded, attach, &out);
-          return true;
-        }));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const index::PathEntry& a, const index::PathEntry& b) {
-              return a.id < b.id;
-            });
-  return out;
-}
-
-Result<std::vector<index::PathEntry>> PagedPathIndex::LookUpId(
-    const index::PathPattern& pattern) const {
-  return Collect(pattern, /*with_values=*/false);
-}
-
-Result<std::vector<index::PathEntry>> PagedPathIndex::LookUpIdValue(
-    const index::PathPattern& pattern) const {
-  return Collect(pattern, /*with_values=*/true);
-}
-
-Result<std::vector<index::PathEntry>> PagedPathIndex::LookUpValue(
-    const index::PathPattern& pattern, const std::string& value) const {
-  QUICKVIEW_ASSIGN_OR_RETURN(std::vector<std::string> expanded,
-                             ExpandPattern(pattern));
-  std::vector<index::PathEntry> out;
-  for (const std::string& path : expanded) {
-    // Rows scan in value order, so stop at the first row past `value`
-    // (at most one row per (path, value) pair exists). This is a
-    // materializing scan over the path's earlier rows — the price of
-    // keeping values out of the disk keys; acceptable while predicate
-    // evaluation happens on LookUpPerPath entries, not through here.
-    QUICKVIEW_RETURN_IF_ERROR(ForEachPathRow(
-        path,
-        [&](std::string&& row_value,
-            const std::string& entries_encoded) -> Result<bool> {
-          if (row_value > value) return false;
-          if (row_value == value) {
-            index::DecodePathEntryListInto(entries_encoded, value, &out);
-            return false;
-          }
-          return true;
-        }));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const index::PathEntry& a, const index::PathEntry& b) {
-              return a.id < b.id;
-            });
-  return out;
-}
-
-Result<std::vector<index::PathRows>> PagedPathIndex::LookUpPerPath(
-    const index::PathPattern& pattern, bool with_values) const {
-  QUICKVIEW_ASSIGN_OR_RETURN(std::vector<std::string> expanded,
-                             ExpandPattern(pattern));
   std::vector<index::PathRows> out;
-  for (const std::string& path : expanded) {
+  for (const std::string& path : distinct_paths) {
+    if (!index::PatternMatchesPath(pattern, path)) continue;
     index::PathRows rows;
     rows.path = path;
-    QUICKVIEW_RETURN_IF_ERROR(ForEachPathRow(
-        path,
-        [&](std::string&& row_value,
-            const std::string& entries_encoded) -> Result<bool> {
+    // Rows of one data path share the key prefix (path \x01) and scan in
+    // value order.
+    std::string prefix = path;
+    prefix.push_back(kPathKeySep);
+    QUICKVIEW_RETURN_IF_ERROR(paths.ScanFrom(
+        prefix,
+        [&](std::string_view key,
+            const DiskBTree::ValueRef& value) -> Result<bool> {
+          if (key.substr(0, prefix.size()) != prefix) return false;
+          QUICKVIEW_ASSIGN_OR_RETURN(std::string payload, value.Read());
+          std::string row_value;
+          std::string entries_encoded;
+          QUICKVIEW_RETURN_IF_ERROR(
+              SplitPathRow(payload, &row_value, &entries_encoded));
           std::optional<std::string> attach;
           if (with_values) attach = std::move(row_value);
           index::DecodePathEntryListInto(entries_encoded, attach,
@@ -205,50 +120,13 @@ Result<std::vector<index::PathRows>> PagedPathIndex::LookUpPerPath(
   return out;
 }
 
-// --------------------------------------------------------------------------
-// PagedTermIndex
-// --------------------------------------------------------------------------
-
-Result<std::vector<index::Posting>> PagedTermIndex::Lookup(
+Result<std::vector<index::Posting>> PackedDb::PackedDocument::Lookup(
     const std::string& term) const {
   std::vector<index::Posting> out;
   std::string encoded;
-  QUICKVIEW_ASSIGN_OR_RETURN(bool found, tree_.Get(term, &encoded));
+  QUICKVIEW_ASSIGN_OR_RETURN(bool found, terms.Get(term, &encoded));
   if (found) QUICKVIEW_RETURN_IF_ERROR(DecodePostingRun(encoded, &out));
   return out;
-}
-
-// Point probes below pay O(run size) page I/O: a run is one B-tree
-// value (possibly an overflow chain), so Contains/ListLength read it
-// whole where the in-memory index answers from the composite-key tree.
-// Nothing on the query path uses them today (PrepareLists wants full
-// runs); if a pushdown ever does, serve counts from a bounded prefix
-// read of the chain instead.
-Result<bool> PagedTermIndex::Contains(const std::string& term,
-                                      const xml::DeweyId& id,
-                                      uint32_t* tf) const {
-  QUICKVIEW_ASSIGN_OR_RETURN(std::vector<index::Posting> postings,
-                             Lookup(term));
-  auto it = std::lower_bound(postings.begin(), postings.end(), id,
-                             [](const index::Posting& p,
-                                const xml::DeweyId& key) {
-                               return p.id < key;
-                             });
-  if (it == postings.end() || it->id != id) return false;
-  if (tf != nullptr) *tf = it->tf;
-  return true;
-}
-
-Result<uint64_t> PagedTermIndex::ListLength(const std::string& term) const {
-  std::string encoded;
-  QUICKVIEW_ASSIGN_OR_RETURN(bool found, tree_.Get(term, &encoded));
-  if (!found) return static_cast<uint64_t>(0);
-  size_t pos = 0;
-  uint32_t count = 0;
-  if (!ReadU32(encoded, &pos, &count)) {
-    return Status::Internal("corrupt posting run for term '" + term + "'");
-  }
-  return static_cast<uint64_t>(count);
 }
 
 // --------------------------------------------------------------------------
@@ -280,21 +158,18 @@ Result<std::shared_ptr<PackedDb>> PackedDb::Open(
     QUICKVIEW_RETURN_IF_ERROR(directory.ReadU64(&doc->node_count));
     uint32_t path_count = 0;
     QUICKVIEW_RETURN_IF_ERROR(directory.ReadU32(&path_count));
-    std::vector<std::string> distinct_paths;
-    distinct_paths.reserve(path_count);
+    doc->distinct_paths.reserve(path_count);
     for (uint32_t p = 0; p < path_count; ++p) {
       uint16_t len = 0;
       QUICKVIEW_RETURN_IF_ERROR(directory.ReadU16(&len));
       std::string data_path;
       QUICKVIEW_RETURN_IF_ERROR(directory.Read(len, &data_path));
-      distinct_paths.push_back(std::move(data_path));
+      doc->distinct_paths.push_back(std::move(data_path));
     }
 
     doc->locator = DiskBTree(db->pool_.get(), locator_root);
-    doc->paths = std::make_unique<PagedPathIndex>(
-        DiskBTree(db->pool_.get(), path_root), std::move(distinct_paths));
-    doc->terms =
-        std::make_unique<PagedTermIndex>(DiskBTree(db->pool_.get(), inv_root));
+    doc->paths = DiskBTree(db->pool_.get(), path_root);
+    doc->terms = DiskBTree(db->pool_.get(), inv_root);
 
     // Duplicate checks happen before any move: a failed map emplace
     // destroys its moved-from argument, which would leave `doc` (and
@@ -361,16 +236,14 @@ Status PackedDb::ApplyDeltaLog(const std::string& path) {
   return Status::OK();
 }
 
-std::optional<index::DocumentIndexView> PackedDb::GetView(
+const index::DocumentIndexView* PackedDb::GetView(
     const std::string& doc_name) const {
   auto overlay = overlay_by_name_.find(doc_name);
   if (overlay != overlay_by_name_.end()) {
-    return overlay->second->indexes->View();
+    return overlay->second->indexes.get();
   }
   auto it = by_name_.find(doc_name);
-  if (it == by_name_.end()) return std::nullopt;
-  return index::DocumentIndexView{it->second->paths.get(),
-                                  it->second->terms.get()};
+  return it == by_name_.end() ? nullptr : it->second.get();
 }
 
 std::vector<std::string> PackedDb::document_names() const {

@@ -1,8 +1,8 @@
 // PackedDb: the query-time face of a .qvpack file. Opens the directory,
 // wires a shared BufferPool over the PagedFile, and exposes
-//  - index::IndexSource: per-document PathIndexView / TermIndexView
-//    implementations that answer the PDT probe set from B-tree-node and
-//    posting-run pages, and
+//  - index::IndexSource: per document, the two PDT probes of
+//    index::DocumentIndexView answered from B-tree-node and posting-run
+//    pages (delta-log documents answer from their in-memory indexes), and
 //  - document fetches (CopySubtree / GetValue / GetSubtreeLength) that
 //    read node-record pages — the packed backing of DocumentStore.
 // Everything is demand-paged: opening the database reads the header and
@@ -24,10 +24,8 @@
 #define QUICKVIEW_PAGESTORE_PACKED_DB_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,60 +40,6 @@
 
 namespace quickview::pagestore {
 
-/// Path-index view answered from disk B-tree pages. Mirrors the
-/// in-memory PathIndex probe algorithms over the identical key space
-/// ((path \x01 value) composite keys, EncodePathEntryList row payloads),
-/// so both backings return byte-identical results.
-class PagedPathIndex final : public index::PathIndexView {
- public:
-  PagedPathIndex(DiskBTree tree, std::vector<std::string> distinct_paths)
-      : tree_(tree), paths_(std::move(distinct_paths)) {}
-
-  Result<std::vector<std::string>> ExpandPattern(
-      const index::PathPattern& pattern) const override;
-  Result<std::vector<index::PathEntry>> LookUpId(
-      const index::PathPattern& pattern) const override;
-  Result<std::vector<index::PathEntry>> LookUpIdValue(
-      const index::PathPattern& pattern) const override;
-  Result<std::vector<index::PathEntry>> LookUpValue(
-      const index::PathPattern& pattern,
-      const std::string& value) const override;
-  Result<std::vector<index::PathRows>> LookUpPerPath(
-      const index::PathPattern& pattern, bool with_values) const override;
-
- private:
-  Result<std::vector<index::PathEntry>> Collect(
-      const index::PathPattern& pattern, bool with_values) const;
-
-  /// Scans the disk rows of one data path in value order, decoding each
-  /// payload into (atomic value, encoded entry list); `fn` returns false
-  /// to stop early. The single home of the prefix-scan/row-split logic
-  /// all probes share.
-  Status ForEachPathRow(
-      const std::string& path,
-      const std::function<Result<bool>(std::string&& row_value,
-                                       const std::string& entries_encoded)>&
-          fn) const;
-
-  DiskBTree tree_;
-  std::vector<std::string> paths_;  // sorted distinct full data paths
-};
-
-/// Inverted-list view over per-term posting runs on disk.
-class PagedTermIndex final : public index::TermIndexView {
- public:
-  explicit PagedTermIndex(DiskBTree tree) : tree_(tree) {}
-
-  Result<std::vector<index::Posting>> Lookup(
-      const std::string& term) const override;
-  Result<bool> Contains(const std::string& term, const xml::DeweyId& id,
-                        uint32_t* tf) const override;
-  Result<uint64_t> ListLength(const std::string& term) const override;
-
- private:
-  DiskBTree tree_;
-};
-
 class PackedDb final : public index::IndexSource {
  public:
   /// Reads header + directory; index and node-record pages stay on disk
@@ -103,7 +47,7 @@ class PackedDb final : public index::IndexSource {
   static Result<std::shared_ptr<PackedDb>> Open(
       const std::string& path, const BufferPoolOptions& pool_options = {});
 
-  std::optional<index::DocumentIndexView> GetView(
+  const index::DocumentIndexView* GetView(
       const std::string& doc_name) const override;
 
   /// Per-call page accounting for the three document fetches lands in
@@ -134,13 +78,22 @@ class PackedDb final : public index::IndexSource {
   const DeltaStats& delta_stats() const { return delta_stats_; }
 
  private:
-  struct PackedDocument {
+  /// A document in the pack's pages. Answers the two index probes from
+  /// its disk B-trees: path rows keyed (path \x01 ordinal) with the value
+  /// in the payload, and one posting run per term.
+  struct PackedDocument final : index::DocumentIndexView {
     std::string name;
     uint32_t root_component = 0;
     uint64_t node_count = 0;
     DiskBTree locator;
-    std::unique_ptr<PagedPathIndex> paths;
-    std::unique_ptr<PagedTermIndex> terms;
+    DiskBTree paths;
+    DiskBTree terms;
+    std::vector<std::string> distinct_paths;  // sorted full data paths
+
+    Result<std::vector<index::PathRows>> LookUpPerPath(
+        const index::PathPattern& pattern, bool with_values) const override;
+    Result<std::vector<index::Posting>> Lookup(
+        const std::string& term) const override;
   };
 
   /// A document that lives in the delta log, not in pack pages: fully

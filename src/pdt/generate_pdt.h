@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "index/index_builder.h"
+#include "index/index_view.h"
 #include "pdt/prepare_lists.h"
 #include "qpt/qpt.h"
 #include "xml/dom.h"
@@ -53,17 +53,11 @@ Result<std::shared_ptr<xml::Document>> GeneratePdtFromLists(
     const qpt::Qpt& qpt, PreparedLists lists, PdtBuildStats* stats);
 
 /// Convenience: PrepareLists + GeneratePdtFromLists (the GeneratePDT of
-/// Fig 9). `keywords` must be lowercased. The view form is the canonical
-/// one — it runs identically over in-memory and disk-resident indices.
+/// Fig 9). `keywords` must be lowercased. Runs identically over in-memory
+/// and disk-resident indices.
 Result<std::shared_ptr<xml::Document>> GeneratePdt(
     const qpt::Qpt& qpt, const index::DocumentIndexView& indexes,
     const std::vector<std::string>& keywords, PdtBuildStats* stats = nullptr);
-
-inline Result<std::shared_ptr<xml::Document>> GeneratePdt(
-    const qpt::Qpt& qpt, const index::DocumentIndexes& indexes,
-    const std::vector<std::string>& keywords, PdtBuildStats* stats = nullptr) {
-  return GeneratePdt(qpt, indexes.View(), keywords, stats);
-}
 
 }  // namespace quickview::pdt
 

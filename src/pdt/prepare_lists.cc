@@ -138,7 +138,7 @@ Result<PreparedLists> PrepareLists(const qpt::Qpt& qpt,
     index::PathPattern pattern = qpt.PatternFor(n);
     QUICKVIEW_ASSIGN_OR_RETURN(
         std::vector<index::PathRows> rows,
-        indexes.paths->LookUpPerPath(pattern, with_values));
+        indexes.LookUpPerPath(pattern, with_values));
     ++out.index_probes;
 
     for (index::PathRows& row : rows) {
@@ -165,7 +165,7 @@ Result<PreparedLists> PrepareLists(const qpt::Qpt& qpt,
   for (const std::string& keyword : keywords) {
     InvList inv;
     inv.term = keyword;
-    QUICKVIEW_ASSIGN_OR_RETURN(inv.postings, indexes.terms->Lookup(keyword));
+    QUICKVIEW_ASSIGN_OR_RETURN(inv.postings, indexes.Lookup(keyword));
     inv.BuildPrefix();
     out.inv_lists.push_back(std::move(inv));
   }

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "index/index_builder.h"
 #include "index/index_view.h"
 #include "qpt/qpt.h"
 #include "xml/dewey_id.h"
@@ -67,18 +66,11 @@ std::vector<std::vector<int>> MapDepthsToQptNodes(const qpt::Qpt& qpt,
                                                   int leaf,
                                                   const std::string& path);
 
-/// Runs the probes of Fig 7 against the document's index views — the
-/// in-memory B+-trees or disk-resident pages, whichever backs the view.
+/// Runs the probes of Fig 7 against the document's index view — the
+/// in-memory B+-trees or disk-resident pages, whichever backs it.
 Result<PreparedLists> PrepareLists(const qpt::Qpt& qpt,
                                    const index::DocumentIndexView& indexes,
                                    const std::vector<std::string>& keywords);
-
-/// Convenience overload over concrete in-memory indices.
-inline Result<PreparedLists> PrepareLists(
-    const qpt::Qpt& qpt, const index::DocumentIndexes& indexes,
-    const std::vector<std::string>& keywords) {
-  return PrepareLists(qpt, indexes.View(), keywords);
-}
 
 }  // namespace quickview::pdt
 

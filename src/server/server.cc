@@ -343,11 +343,11 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn, Frame frame,
       shed_.fetch_add(1, std::memory_order_relaxed);
       op_shed_[static_cast<size_t>(opcode)].fetch_add(
           1, std::memory_order_relaxed);
+      RecordLatency(opcode, arrival);
       SendError(conn, opcode, frame.request_id,
                 Status::ResourceExhausted(
                     "admission queue full (limit " +
                     std::to_string(options_.admission_queue_limit) + ")"));
-      RecordLatency(opcode, arrival);
       return;
     }
     if (queued_.compare_exchange_weak(queued, queued + 1,
@@ -368,21 +368,18 @@ void Server::ExecuteRpc(const std::shared_ptr<Connection>& conn,
                         const Frame& frame, Clock::time_point arrival) {
   RpcObs obs;
   Result<std::string> payload = RunOpcode(conn, frame, arrival, &obs);
-  if (payload.ok()) {
-    std::string body = std::move(payload).value();
-    uint8_t flags = 0;
+  uint8_t flags = 0;
+  if (payload.ok() && (frame.flags & kFlagTrace) != 0 &&
+      !obs.trace.empty()) {
     // The trace crosses the wire only when the CLIENT asked (trace_all
     // alone keeps it server-side, for the slow-query log).
-    if ((frame.flags & kFlagTrace) != 0 && !obs.trace.empty()) {
-      std::string wrapped;
-      EncodeTracedPayload(obs.trace, body, &wrapped);
-      body = std::move(wrapped);
-      flags = kFlagTrace;
-    }
-    SendResponse(conn, frame.opcode, frame.request_id, std::move(body), flags);
-  } else {
-    SendError(conn, frame.opcode, frame.request_id, payload.status());
+    std::string wrapped;
+    EncodeTracedPayload(obs.trace, *payload, &wrapped);
+    *payload = std::move(wrapped);
+    flags = kFlagTrace;
   }
+  // Record before writing: a client that reads this reply and then asks
+  // for Stats must find its own request counted and logged.
   const uint64_t elapsed_us = RecordLatency(frame.opcode, arrival);
   obs::SlowQueryLog::Entry entry;
   entry.latency_us = elapsed_us;
@@ -392,6 +389,12 @@ void Server::ExecuteRpc(const std::shared_ptr<Connection>& conn,
                                               : std::move(obs.description);
   entry.trace = std::move(obs.trace);
   slow_log_.Record(std::move(entry));
+  if (payload.ok()) {
+    SendResponse(conn, frame.opcode, frame.request_id,
+                 std::move(payload).value(), flags);
+  } else {
+    SendError(conn, frame.opcode, frame.request_id, payload.status());
+  }
 }
 
 Result<std::string> Server::RunOpcode(const std::shared_ptr<Connection>& conn,

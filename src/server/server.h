@@ -25,7 +25,7 @@
 //
 // Observability: one obs::MetricsRegistry holds every series — the
 // server's admission/connection counters and per-opcode log-bucketed
-// latency histograms (arrival -> response written) next to everything
+// latency histograms (arrival -> response ready to write) next to everything
 // the QueryService stack registers. The kStats RPC answers with
 // StatsText(): that registry's Prometheus exposition followed by the
 // worst-K SlowQueryLog as comment lines. Requests carrying kFlagTrace
@@ -196,10 +196,11 @@ class Server {
     std::string description;
   };
 
-  /// Runs one RPC end to end: execute, respond (wrapping the payload
-  /// with the span tree when the client asked for a trace), record
-  /// latency, offer the slow-query log. Used by workers and the inline
-  /// reader-thread path alike.
+  /// Runs one RPC end to end: execute, build the reply (wrapping the
+  /// payload with the span tree when the client asked for a trace),
+  /// record latency and offer the slow-query log, then write the reply —
+  /// so a Stats call issued after reading the reply sees this request.
+  /// Used by workers and the inline reader-thread path alike.
   void ExecuteRpc(const std::shared_ptr<Connection>& conn, const Frame& frame,
                   std::chrono::steady_clock::time_point arrival);
   /// Builds + executes the opcode's success payload; any error becomes
@@ -218,8 +219,8 @@ class Server {
                     uint8_t flags = 0);
   void SendError(const std::shared_ptr<Connection>& conn, Opcode opcode,
                  uint64_t request_id, const Status& status);
-  /// Response-written timestamp minus arrival, into the opcode's
-  /// histogram; returns the elapsed microseconds.
+  /// Time from arrival until the response is ready to write, into the
+  /// opcode's histogram; returns the elapsed microseconds.
   uint64_t RecordLatency(Opcode opcode,
                          std::chrono::steady_clock::time_point arrival);
   /// Registers the server's own counters, gauges and per-opcode latency

@@ -19,18 +19,30 @@ LiveDatabase::LiveDatabase(std::shared_ptr<xml::Database> initial)
   documents_.Set(static_cast<int64_t>(db_->documents().size()));
 }
 
+uint32_t LiveDatabase::RootComponentFor(const std::string& name) const {
+  // Replacements keep their root Dewey component so the document's "path
+  // ordinal" stays stable across versions; new names get a fresh one.
+  const xml::Document* old_doc = db_->GetDocument(name);
+  return old_doc != nullptr ? old_doc->root_component()
+                            : db_->NextRootComponent();
+}
+
 Status LiveDatabase::InsertDocument(const std::string& name,
                                     const std::string& xml_text) {
-  std::shared_ptr<xml::Document> old_doc = db_->GetDocumentShared(name);
-  // Replacements keep their root Dewey component so the document's "path
-  // ordinal" stays stable across versions; new names get a fresh one. The
-  // parse happens before any state changes: a bad document leaves the
-  // corpus, the indexes and the published snapshot untouched.
-  uint32_t root_component = old_doc != nullptr ? old_doc->root_component()
-                                               : db_->NextRootComponent();
+  // The parse happens before any state changes: a bad document leaves
+  // the corpus, the indexes and the published snapshot untouched. Parsing
+  // under the final root component leaves InstallDocument no ids to
+  // rewrite.
   QUICKVIEW_ASSIGN_OR_RETURN(std::shared_ptr<xml::Document> doc,
-                             xml::ParseXml(xml_text, root_component));
+                             xml::ParseXml(xml_text, RootComponentFor(name)));
+  InstallDocument(name, std::move(doc));
+  return Status::OK();
+}
 
+void LiveDatabase::InstallDocument(const std::string& name,
+                                   std::shared_ptr<xml::Document> doc) {
+  doc->SetRootComponent(RootComponentFor(name));
+  std::shared_ptr<xml::Document> old_doc = db_->GetDocumentShared(name);
   if (old_doc != nullptr) {
     // In-place incremental maintenance: remove the old version's postings
     // and path entries from the live B+-trees, insert the new version's.
@@ -45,7 +57,6 @@ Status LiveDatabase::InsertDocument(const std::string& name,
   store_ = std::make_shared<const DocumentStore>(*db_);
   inserts_.Increment();
   documents_.Set(static_cast<int64_t>(db_->documents().size()));
-  return Status::OK();
 }
 
 Status LiveDatabase::RemoveDocument(const std::string& name) {
@@ -101,10 +112,13 @@ Status LiveDatabase::CommitInsert(const std::string& name,
   if (name.empty()) {
     return Status::InvalidArgument("document name must not be empty");
   }
-  // Validate before logging (and before joining a commit group): a
+  // Parse once, before logging (and before joining a commit group): a
   // record that cannot replay would poison recovery, and rejecting it
-  // here keeps the failure out of the WAL entirely.
-  QUICKVIEW_RETURN_IF_ERROR(xml::ParseXml(xml_text));
+  // here keeps the failure out of the WAL entirely. The apply step
+  // installs this parsed document; its root component is decided there,
+  // under the exclusive lock.
+  QUICKVIEW_ASSIGN_OR_RETURN(std::shared_ptr<xml::Document> doc,
+                             xml::ParseXml(xml_text));
   pagestore::DeltaRecord record;
   record.name = name;
   record.xml = xml_text;
@@ -115,9 +129,9 @@ Status LiveDatabase::CommitInsert(const std::string& name,
       uint64_t seq,
       wal_->Append(pagestore::EncodeDeltaPayload(record), [&]() {
         qv::WriterLock lock(mu_);
-        Status applied = InsertDocument(name, xml_text);
-        if (applied.ok() && post_apply) post_apply();
-        return applied;
+        InstallDocument(name, std::move(doc));
+        if (post_apply) post_apply();
+        return Status::OK();
       }));
   (void)seq;
   return Status::OK();

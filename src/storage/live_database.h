@@ -94,9 +94,11 @@ class LiveDatabase {
   /// The attached WAL (nullptr when none) — replay info, instruments.
   const pagestore::Wal* wal() const { return wal_.get(); }
 
-  /// Durable insert/replace: the record is group-committed to the WAL
-  /// (fdatasync) and only then applied under the exclusive lock, so an
-  /// acknowledged mutation can always be replayed. `post_apply` (when
+  /// Durable insert/replace: the XML is parsed once, up front (bad input
+  /// fails before anything is logged); the record is group-committed to
+  /// the WAL (fdatasync) and only then is the parsed document installed
+  /// under the exclusive lock, so an acknowledged mutation can always be
+  /// replayed. `post_apply` (when
   /// provided) runs after a successful apply, under the same exclusive
   /// hold — bookkeeping that must publish atomically with the mutation
   /// (QueryService's view data epochs) goes there. Without an attached
@@ -152,6 +154,15 @@ class LiveDatabase {
   obs::Counter inserts_;   // successful InsertDocument calls
   obs::Counter removes_;   // successful RemoveDocument calls
   obs::Gauge documents_;   // current corpus size
+
+  /// The root Dewey component `name` gets: the replaced document's, or
+  /// the next unused one for a new name.
+  uint32_t RootComponentFor(const std::string& name) const QV_REQUIRES(mu_);
+  /// Registers an already-parsed `doc` under `name`, as InsertDocument
+  /// does after parsing: moves it to RootComponentFor(name) and
+  /// maintains the indexes.
+  void InstallDocument(const std::string& name,
+                       std::shared_ptr<xml::Document> doc) QV_REQUIRES(mu_);
 };
 
 }  // namespace quickview::storage

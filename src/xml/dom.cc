@@ -61,6 +61,16 @@ NodeIndex Document::FindByDewey(const DeweyId& id) const {
   return current;
 }
 
+void Document::SetRootComponent(uint32_t root_component) {
+  if (root_component == root_component_) return;
+  root_component_ = root_component;
+  for (Node& node : nodes_) {
+    std::vector<uint32_t> components = node.id.components();
+    components[0] = root_component;
+    node.id = DeweyId(std::move(components));
+  }
+}
+
 std::vector<NodeIndex> Document::SubtreeNodes(NodeIndex start) const {
   std::vector<NodeIndex> out;
   std::vector<NodeIndex> stack = {start};

@@ -83,6 +83,11 @@ class Document {
   NodeIndex root() const { return 0; }
   uint32_t root_component() const { return root_component_; }
 
+  /// Moves the document to root component `root_component`: rewrites the
+  /// first component of every node's id. For a document parsed before
+  /// its place in a Database was known.
+  void SetRootComponent(uint32_t root_component);
+
   Node& node(NodeIndex i) { return nodes_[i]; }
   const Node& node(NodeIndex i) const { return nodes_[i]; }
   size_t size() const { return nodes_.size(); }

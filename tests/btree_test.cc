@@ -3,11 +3,27 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 namespace quickview::index {
 namespace {
+
+/// (key, value) pairs whose key starts with `prefix`, in key order: the
+/// Seek-and-stop loop both indexes use to scan one key prefix.
+std::vector<std::pair<std::string, std::string>> ScanPrefix(
+    const BTree& tree, std::string_view prefix) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (BTree::Iterator it = tree.Seek(prefix); it.Valid(); it.Next()) {
+    if (it.key().compare(0, prefix.size(), prefix) != 0) break;
+    out.emplace_back(it.key(), it.value());
+  }
+  return out;
+}
 
 TEST(BTreeTest, InsertGetOverwrite) {
   BTree tree;
@@ -28,7 +44,8 @@ TEST(BTreeTest, EmptyTree) {
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_FALSE(tree.Get("x", nullptr));
   EXPECT_FALSE(tree.Begin().Valid());
-  EXPECT_TRUE(tree.PrefixScan("p").empty());
+  EXPECT_FALSE(tree.Seek("p").Valid());
+  EXPECT_TRUE(ScanPrefix(tree, "p").empty());
 }
 
 TEST(BTreeTest, IterationInKeyOrderAcrossSplits) {
@@ -61,16 +78,54 @@ TEST(BTreeTest, SeekFindsFirstKeyNotLess) {
   EXPECT_FALSE(tree.Seek("g").Valid());
 }
 
-TEST(BTreeTest, PrefixScan) {
+TEST(BTreeTest, SeekScansOneKeyPrefix) {
   BTree tree;
   tree.Insert("path/a\x01v1", "1");
   tree.Insert("path/a\x01v2", "2");
   tree.Insert("path/ab\x01v", "3");
   tree.Insert("path/b\x01v", "4");
-  auto rows = tree.PrefixScan("path/a\x01");
+  auto rows = ScanPrefix(tree, "path/a\x01");
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].second, "1");
   EXPECT_EQ(rows[1].second, "2");
+}
+
+TEST(BTreeTest, SeekScanCrossesLeafEdges) {
+  BTree tree;
+  for (int i = 0; i < 1000; ++i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "%c%04d", i < 500 ? 'a' : 'b', i);
+    tree.Insert(buf, std::to_string(i));
+  }
+  ASSERT_GT(tree.height(), 1);
+  auto rows = ScanPrefix(tree, "b");
+  ASSERT_EQ(rows.size(), 500u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].second, std::to_string(500 + i));
+  }
+}
+
+TEST(BTreeTest, IteratorCopiesAreIndependentPositions) {
+  BTree tree;
+  for (int i = 0; i < 300; ++i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "k%04d", i);
+    tree.Insert(buf, "v");
+  }
+  BTree::Iterator it = tree.Seek("k0063");
+  BTree::Iterator copy = it;
+  for (int i = 0; i < 130; ++i) copy.Next();  // across leaf edges
+  EXPECT_EQ(it.key(), "k0063");
+  EXPECT_EQ(copy.key(), "k0193");
+  it = copy;
+  it.Next();
+  EXPECT_EQ(it.key(), "k0194");
+  EXPECT_EQ(copy.key(), "k0193");
+  BTree::Iterator end = tree.Seek("z");
+  copy = end;
+  EXPECT_FALSE(copy.Valid());
+  BTree::Iterator defaulted;
+  EXPECT_FALSE(defaulted.Valid());
 }
 
 TEST(BTreeTest, Delete) {
@@ -84,16 +139,6 @@ TEST(BTreeTest, Delete) {
   size_t count = 0;
   for (BTree::Iterator it = tree.Begin(); it.Valid(); it.Next()) ++count;
   EXPECT_EQ(count, 199u);
-}
-
-TEST(BTreeTest, StatsCountNodeVisits) {
-  BTree tree;
-  for (int i = 0; i < 5000; ++i) {
-    tree.Insert("key" + std::to_string(i), "v");
-  }
-  tree.ResetStats();
-  EXPECT_TRUE(tree.Get("key2500", nullptr));
-  EXPECT_GE(tree.stats().nodes_visited, static_cast<uint64_t>(tree.height()));
 }
 
 TEST(BTreeTest, RandomizedAgainstStdMap) {

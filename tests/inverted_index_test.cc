@@ -29,26 +29,10 @@ TEST(InvertedIndexTest, AddAccumulates) {
   index.Add("xml", DeweyId::Parse("1.1"), 1);
   index.Add("xml", DeweyId::Parse("1.1"), 3);
   index.Add("xml", DeweyId::Parse("1.1"), 0);  // no-op
-  uint32_t tf = 0;
-  EXPECT_TRUE(index.Contains("xml", DeweyId::Parse("1.1"), &tf));
-  EXPECT_EQ(tf, 4u);
-}
-
-TEST(InvertedIndexTest, ContainsPointProbe) {
-  InvertedIndex index;
-  index.Add("xml", DeweyId::Parse("1.2"), 1);
-  EXPECT_TRUE(index.Contains("xml", DeweyId::Parse("1.2")));
-  EXPECT_FALSE(index.Contains("xml", DeweyId::Parse("1.3")));
-  EXPECT_FALSE(index.Contains("search", DeweyId::Parse("1.2")));
-}
-
-TEST(InvertedIndexTest, ListLength) {
-  InvertedIndex index;
-  for (int i = 1; i <= 9; ++i) {
-    index.Add("t", DeweyId::Parse("1." + std::to_string(i)), 1);
-  }
-  EXPECT_EQ(index.ListLength("t"), 9u);
-  EXPECT_EQ(index.ListLength("u"), 0u);
+  auto postings = index.Lookup("xml");
+  ASSERT_EQ(postings.size(), 1u);
+  EXPECT_EQ(postings[0].id.ToString(), "1.1");
+  EXPECT_EQ(postings[0].tf, 4u);
 }
 
 TEST(InvertedIndexTest, NoCrossTermBleedWithPrefixTerms) {
@@ -73,10 +57,12 @@ TEST(IndexBuilderTest, DirectContainmentOnly) {
   EXPECT_EQ(postings[0].id.ToString(), "1.1");
   EXPECT_EQ(postings[1].id.ToString(), "1.2.1");
   // Tag names are terms of the element itself.
-  EXPECT_TRUE(
-      indexes->inverted_index.Contains("book", DeweyId::Parse("1")));
-  EXPECT_TRUE(
-      indexes->inverted_index.Contains("title", DeweyId::Parse("1.1")));
+  auto book = indexes->inverted_index.Lookup("book");
+  ASSERT_EQ(book.size(), 1u);
+  EXPECT_EQ(book[0].id.ToString(), "1");
+  auto title = indexes->inverted_index.Lookup("title");
+  ASSERT_EQ(title.size(), 1u);
+  EXPECT_EQ(title[0].id.ToString(), "1.1");
 }
 
 TEST(IndexBuilderTest, DatabaseIndexesPerDocument) {
@@ -90,8 +76,8 @@ TEST(IndexBuilderTest, DatabaseIndexesPerDocument) {
   ASSERT_NE(indexes->Get("a.xml"), nullptr);
   ASSERT_NE(indexes->Get("b.xml"), nullptr);
   EXPECT_EQ(indexes->Get("c.xml"), nullptr);
-  EXPECT_EQ(indexes->Get("a.xml")->inverted_index.ListLength("foo"), 1u);
-  EXPECT_EQ(indexes->Get("a.xml")->inverted_index.ListLength("bar"), 0u);
+  EXPECT_EQ(indexes->Get("a.xml")->inverted_index.Lookup("foo").size(), 1u);
+  EXPECT_TRUE(indexes->Get("a.xml")->inverted_index.Lookup("bar").empty());
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 // through SearchStats.
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,11 +20,13 @@
 #include "engine/result_cursor.h"
 #include "engine/view_search_engine.h"
 #include "index/index_builder.h"
+#include "pagestore/delta_log.h"
 #include "pagestore/pack.h"
 #include "pagestore/packed_db.h"
 #include "service/query_service.h"
 #include "storage/document_store.h"
 #include "workload/bookrev_generator.h"
+#include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace quickview {
@@ -157,84 +161,125 @@ TEST_F(PackedDbTest, OpenListsDocuments) {
   ASSERT_EQ(names.size(), corpus_->db->documents().size());
   for (const std::string& name : names) {
     EXPECT_NE(corpus_->db->GetDocument(name), nullptr) << name;
-    EXPECT_TRUE(packed.db->GetView(name).has_value()) << name;
+    EXPECT_NE(packed.db->GetView(name), nullptr) << name;
   }
-  EXPECT_FALSE(packed.db->GetView("no-such-doc").has_value());
+  EXPECT_EQ(packed.db->GetView("no-such-doc"), nullptr);
 }
 
-TEST_F(PackedDbTest, PagedIndexViewsMatchInMemory) {
-  PackedRuntime packed = OpenPacked(64);
-  for (const auto& [name, doc] : corpus_->db->documents()) {
-    (void)doc;
-    std::optional<index::DocumentIndexView> mem_view =
-        corpus_->indexes->GetView(name);
-    std::optional<index::DocumentIndexView> paged_view =
-        packed.db->GetView(name);
-    ASSERT_TRUE(mem_view.has_value());
-    ASSERT_TRUE(paged_view.has_value());
-
-    for (const index::PathPattern& pattern :
-         {index::PathPattern{{false, "books"}, {true, "book"}},
-          index::PathPattern{{true, "isbn"}},
-          index::PathPattern{{false, "reviews"}, {true, "content"}},
-          index::PathPattern{{true, "no_such_tag"}}}) {
-      auto mem_paths = mem_view->paths->ExpandPattern(pattern);
-      auto paged_paths = paged_view->paths->ExpandPattern(pattern);
-      ASSERT_TRUE(mem_paths.ok());
-      ASSERT_TRUE(paged_paths.ok()) << paged_paths.status();
-      EXPECT_EQ(*mem_paths, *paged_paths);
-
-      auto mem_rows = mem_view->paths->LookUpPerPath(pattern, true);
-      auto paged_rows = paged_view->paths->LookUpPerPath(pattern, true);
-      ASSERT_TRUE(mem_rows.ok());
-      ASSERT_TRUE(paged_rows.ok()) << paged_rows.status();
-      ASSERT_EQ(mem_rows->size(), paged_rows->size());
-      for (size_t r = 0; r < mem_rows->size(); ++r) {
-        EXPECT_EQ((*mem_rows)[r].path, (*paged_rows)[r].path);
-        ASSERT_EQ((*mem_rows)[r].entries.size(),
-                  (*paged_rows)[r].entries.size());
-        for (size_t e = 0; e < (*mem_rows)[r].entries.size(); ++e) {
-          EXPECT_EQ((*mem_rows)[r].entries[e].id,
-                    (*paged_rows)[r].entries[e].id);
-          EXPECT_EQ((*mem_rows)[r].entries[e].byte_length,
-                    (*paged_rows)[r].entries[e].byte_length);
-          EXPECT_EQ((*mem_rows)[r].entries[e].value,
-                    (*paged_rows)[r].entries[e].value);
-        }
-      }
-    }
-
-    for (const std::string& term :
-         {std::string("xml"), std::string("search"),
-          std::string("never-seen-term")}) {
-      auto mem_postings = mem_view->terms->Lookup(term);
-      auto paged_postings = paged_view->terms->Lookup(term);
-      ASSERT_TRUE(mem_postings.ok());
-      ASSERT_TRUE(paged_postings.ok()) << paged_postings.status();
-      ASSERT_EQ(mem_postings->size(), paged_postings->size()) << term;
-      for (size_t i = 0; i < mem_postings->size(); ++i) {
-        EXPECT_EQ((*mem_postings)[i].id, (*paged_postings)[i].id);
-        EXPECT_EQ((*mem_postings)[i].tf, (*paged_postings)[i].tf);
-      }
-      auto mem_len = mem_view->terms->ListLength(term);
-      auto paged_len = paged_view->terms->ListLength(term);
-      ASSERT_TRUE(mem_len.ok());
-      ASSERT_TRUE(paged_len.ok());
-      EXPECT_EQ(*mem_len, *paged_len) << term;
-      if (!mem_postings->empty()) {
-        uint32_t tf = 0;
-        auto contains =
-            paged_view->terms->Contains(term, (*mem_postings)[0].id, &tf);
-        ASSERT_TRUE(contains.ok());
-        EXPECT_TRUE(*contains);
-        EXPECT_EQ(tf, (*mem_postings)[0].tf);
-        auto absent = paged_view->terms->Contains(
-            term, xml::DeweyId({424242u, 1u}), nullptr);
-        ASSERT_TRUE(absent.ok());
-        EXPECT_FALSE(*absent);
-      }
+void ExpectSameRows(const index::DocumentIndexView& mem,
+                    const index::DocumentIndexView& paged,
+                    const index::PathPattern& pattern, bool with_values,
+                    const std::string& label) {
+  auto mem_rows = mem.LookUpPerPath(pattern, with_values);
+  auto paged_rows = paged.LookUpPerPath(pattern, with_values);
+  ASSERT_TRUE(mem_rows.ok()) << label;
+  ASSERT_TRUE(paged_rows.ok()) << label << " " << paged_rows.status();
+  ASSERT_EQ(mem_rows->size(), paged_rows->size()) << label;
+  for (size_t r = 0; r < mem_rows->size(); ++r) {
+    const index::PathRows& want = (*mem_rows)[r];
+    const index::PathRows& got = (*paged_rows)[r];
+    EXPECT_EQ(want.path, got.path) << label;
+    ASSERT_EQ(want.entries.size(), got.entries.size()) << label;
+    for (size_t e = 0; e < want.entries.size(); ++e) {
+      EXPECT_EQ(want.entries[e].id, got.entries[e].id) << label;
+      EXPECT_EQ(want.entries[e].byte_length, got.entries[e].byte_length)
+          << label;
+      EXPECT_EQ(want.entries[e].value, got.entries[e].value) << label;
     }
   }
+}
+
+void ExpectSamePostings(const index::DocumentIndexView& mem,
+                        const index::DocumentIndexView& paged,
+                        const std::string& term, const std::string& label) {
+  auto mem_postings = mem.Lookup(term);
+  auto paged_postings = paged.Lookup(term);
+  ASSERT_TRUE(mem_postings.ok()) << label;
+  ASSERT_TRUE(paged_postings.ok()) << label << " " << paged_postings.status();
+  ASSERT_EQ(mem_postings->size(), paged_postings->size()) << label;
+  for (size_t i = 0; i < mem_postings->size(); ++i) {
+    EXPECT_EQ((*mem_postings)[i].id, (*paged_postings)[i].id) << label;
+    EXPECT_EQ((*mem_postings)[i].tf, (*paged_postings)[i].tf) << label;
+  }
+}
+
+// The differential across the one index seam: for every document of the
+// pack plus one delta-log overlay document, both probes answer alike from
+// the in-memory indexes and from the packed backing — for the exact
+// pattern of every distinct data path, a few '//' patterns, with and
+// without values, and for every term the document holds.
+TEST_F(PackedDbTest, PagedIndexViewsMatchInMemory) {
+  const std::string pack_path =
+      ::testing::TempDir() + "/qvpack_seam_overlay.qvpack";
+  std::filesystem::remove(pack_path);
+  std::filesystem::remove(pagestore::DeltaLogPath(pack_path));
+  ASSERT_TRUE(std::filesystem::copy_file(corpus_->pack_path, pack_path));
+  const std::string overlay_name = "extra.xml";
+  const std::string overlay_xml =
+      "<reviews><review><isbn>100-10-1000</isbn><rate>4</rate>"
+      "<content>fresh xml search</content></review>"
+      "<review><isbn>200-20-2000</isbn><content>xml again</content>"
+      "</review></reviews>";
+  ASSERT_TRUE(pagestore::PackAppend(pack_path, overlay_name, overlay_xml)
+                  .ok());
+  auto opened = pagestore::PackedDb::Open(pack_path,
+                                          pagestore::BufferPoolOptions{64});
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  const pagestore::PackedDb& packed = **opened;
+  ASSERT_EQ(packed.delta_stats().overlay_documents, 1u);
+
+  // The in-memory reference: every base document's indexes, plus the
+  // overlay document parsed under the root component the pack gave it.
+  std::map<std::string, const index::DocumentIndexes*> reference;
+  for (const auto& [name, indexes] : corpus_->indexes->all()) {
+    reference[name] = indexes.get();
+  }
+  const uint32_t overlay_root = packed.document_roots().at(overlay_name);
+  auto overlay_doc = xml::ParseXml(overlay_xml, overlay_root);
+  ASSERT_TRUE(overlay_doc.ok());
+  std::unique_ptr<index::DocumentIndexes> overlay_indexes =
+      index::BuildDocumentIndexes(**overlay_doc);
+  reference[overlay_name] = overlay_indexes.get();
+  ASSERT_EQ(reference.size(), packed.document_names().size());
+
+  for (const auto& [name, mem] : reference) {
+    const index::DocumentIndexView* paged = packed.GetView(name);
+    ASSERT_NE(paged, nullptr) << name;
+    if (name != overlay_name) {
+      EXPECT_EQ(corpus_->indexes->GetView(name), mem) << name;
+    }
+
+    std::vector<index::PathPattern> patterns = {
+        {{false, "books"}, {true, "book"}},
+        {{true, "isbn"}},
+        {{false, "reviews"}, {true, "content"}},
+        {{true, "no_such_tag"}}};
+    for (const std::string& path : mem->path_index.distinct_path_list()) {
+      patterns.push_back(PatternForPath(path));
+    }
+    for (const index::PathPattern& pattern : patterns) {
+      for (bool with_values : {false, true}) {
+        ExpectSameRows(*mem, *paged, pattern, with_values,
+                       name + " " + index::PatternToString(pattern) +
+                           (with_values ? " +values" : ""));
+      }
+    }
+
+    std::set<std::string> terms = {"never-seen-term"};
+    mem->inverted_index.ForEachPosting(
+        [&](const std::string& term, const xml::DeweyId&, uint32_t) {
+          terms.insert(term);
+        });
+    ASSERT_GT(terms.size(), 1u) << name;
+    for (const std::string& term : terms) {
+      ExpectSamePostings(*mem, *paged, term, name + " term " + term);
+    }
+  }
+  EXPECT_EQ(packed.GetView("no-such-doc"), nullptr);
+
+  opened->reset();
+  std::filesystem::remove(pack_path);
+  std::filesystem::remove(pagestore::DeltaLogPath(pack_path));
 }
 
 TEST_F(PackedDbTest, DocumentFetchesMatchInMemory) {
@@ -440,24 +485,16 @@ TEST(PackedDbLongValues, MultiPageTextNodesRoundTrip) {
 
   // The huge value survives both surfaces: path-index rows (value in
   // the row payload) and node records (GetValue).
-  std::optional<index::DocumentIndexView> view =
-      (*opened)->GetView("reviews.xml");
-  ASSERT_TRUE(view.has_value());
+  const index::DocumentIndexView* view = (*opened)->GetView("reviews.xml");
+  ASSERT_NE(view, nullptr);
   index::PathPattern pattern{{false, "reviews"},
                              {false, "review"},
                              {false, "content"}};
-  auto rows = view->paths->LookUpPerPath(pattern, /*with_values=*/true);
+  auto rows = view->LookUpPerPath(pattern, /*with_values=*/true);
   ASSERT_TRUE(rows.ok()) << rows.status();
   ASSERT_EQ(rows->size(), 1u);
   ASSERT_EQ((*rows)[0].entries.size(), 1u);
   EXPECT_EQ((*rows)[0].entries[0].value, huge);
-
-  auto by_value = view->paths->LookUpValue(pattern, huge);
-  ASSERT_TRUE(by_value.ok()) << by_value.status();
-  ASSERT_EQ(by_value->size(), 1u);
-  auto no_match = view->paths->LookUpValue(pattern, "absent");
-  ASSERT_TRUE(no_match.ok());
-  EXPECT_TRUE(no_match->empty());
 
   storage::DocumentStore paged_store(*opened);
   std::string value;

@@ -1,5 +1,7 @@
 #include "index/path_index.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "index/index_builder.h"
@@ -86,24 +88,17 @@ TEST_F(PathIndexTest, LookUpIdMergesInDeweyOrder) {
   EXPECT_GT(entries[0].byte_length, 0u);
 }
 
-TEST_F(PathIndexTest, LookUpIdValueCarriesValues) {
-  auto entries = indexes_->path_index.LookUpIdValue(
-      Pattern({{false, "books"}, {true, "isbn"}}));
+TEST_F(PathIndexTest, LookUpPerPathCarriesValues) {
+  auto rows = indexes_->path_index.LookUpPerPath(
+      Pattern({{false, "books"}, {true, "isbn"}}), /*with_values=*/true);
+  ASSERT_EQ(rows.size(), 1u);
+  const std::vector<PathEntry>& entries = rows[0].entries;
   ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].id.ToString(), "1.1.1");
+  EXPECT_EQ(entries[1].id.ToString(), "1.2.1");
   ASSERT_TRUE(entries[0].value.has_value());
   EXPECT_EQ(*entries[0].value, "111-11-1111");
   EXPECT_EQ(*entries[1].value, "222-22-2222");
-}
-
-TEST_F(PathIndexTest, LookUpValueEqualityProbe) {
-  auto entries = indexes_->path_index.LookUpValue(
-      Pattern({{false, "books"}, {true, "isbn"}}), "222-22-2222");
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].id.ToString(), "1.2.1");
-  EXPECT_TRUE(indexes_->path_index
-                  .LookUpValue(Pattern({{false, "books"}, {true, "isbn"}}),
-                               "nope")
-                  .empty());
 }
 
 TEST_F(PathIndexTest, LookUpPerPathGroups) {

@@ -57,7 +57,7 @@ TEST(PdtStressTest, LongRunsOfMandatoryFailures) {
   EXPECT_LT(stats.peak_ct_nodes, 50u);
 }
 
-TEST(PdtStressTest, SkewedListLengths) {
+TEST(PdtStressTest, SkewedListSizes) {
   // One list with 500 entries, the mandatory one with 2: the pull rule
   // must drain the long list without accumulating it in the CT.
   xml::Document doc(1);

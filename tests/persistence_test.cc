@@ -162,10 +162,11 @@ TEST_F(PersistenceTest, ValuesWithSpecialBytesSurvive) {
   // value intact.
   index::PathPattern pattern{index::PathStep{false, "r"},
                              index::PathStep{false, "v"}};
-  auto entries =
-      loaded_idx->Get("special.xml")->path_index.LookUpIdValue(pattern);
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(*entries[0].value, "line1\nline2 & <tag> 'q'");
+  auto rows = loaded_idx->Get("special.xml")
+                  ->path_index.LookUpPerPath(pattern, /*with_values=*/true);
+  ASSERT_EQ(rows.size(), 1u);
+  ASSERT_EQ(rows[0].entries.size(), 1u);
+  EXPECT_EQ(*rows[0].entries[0].value, "line1\nline2 & <tag> 'q'");
 }
 
 }  // namespace

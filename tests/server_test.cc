@@ -135,6 +135,9 @@ TEST_F(ServerTest, LoopbackByteParityOnMixedWorkload) {
 
   const auto& sets = MixedKeywordSets();
   ASSERT_GE(sets.size(), 64u);
+  int64_t searches = 0;
+  int64_t cursors = 0;
+  int64_t fetches = 0;
   for (size_t i = 0; i < sets.size(); ++i) {
     SearchRpcRequest request;
     request.view = "default";
@@ -149,10 +152,12 @@ TEST_F(ServerTest, LoopbackByteParityOnMixedWorkload) {
       // exact hit list of the one-shot response.
       auto opened = client.OpenCursor(request);
       ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      ++cursors;
       EXPECT_EQ(opened->matching, expected->stats.matching_results);
       std::vector<engine::SearchHit> hits;
       for (;;) {
         auto page = client.FetchNext(opened->cursor_id, 3);
+        ++fetches;
         ASSERT_TRUE(page.ok()) << page.status().ToString();
         for (auto& hit : page->hits) hits.push_back(std::move(hit));
         if (page->done || page->hits.empty()) break;
@@ -164,6 +169,7 @@ TEST_F(ServerTest, LoopbackByteParityOnMixedWorkload) {
     } else {
       auto response = client.Search(request);
       ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ++searches;
       EXPECT_EQ(CanonicalBytes(std::move(response).value()),
                 CanonicalBytes(std::move(expected).value()))
           << "set " << i;
@@ -180,6 +186,20 @@ TEST_F(ServerTest, LoopbackByteParityOnMixedWorkload) {
   EXPECT_EQ(WireValue(*remote_stats, "qv_pdtcache_misses_total"),
             static_cast<int64_t>(local_stats.cache.misses));
   EXPECT_EQ(WireValue(*remote_stats, "qv_server_protocol_errors_total"), 0);
+  // Every request this client has read a reply to is in its opcode's
+  // latency histogram.
+  EXPECT_EQ(WireValue(*remote_stats,
+                      "qv_server_latency_us_count{opcode=\"Search\"}"),
+            searches);
+  EXPECT_EQ(WireValue(*remote_stats,
+                      "qv_server_latency_us_count{opcode=\"OpenCursor\"}"),
+            cursors);
+  EXPECT_EQ(WireValue(*remote_stats,
+                      "qv_server_latency_us_count{opcode=\"FetchNext\"}"),
+            fetches);
+  EXPECT_EQ(WireValue(*remote_stats,
+                      "qv_server_latency_us_count{opcode=\"CloseCursor\"}"),
+            cursors);
 }
 
 TEST_F(ServerTest, ErrorStatusParityOnTheWire) {
@@ -300,8 +320,10 @@ TEST_F(ServerTest, FullAdmissionQueueShedsImmediately) {
   EXPECT_NE(shed.message().find("admission queue full"), std::string::npos);
   ServerSnapshot mid = server->SnapshotStats();
   EXPECT_EQ(mid.shed, 1u);
-  // Shedding is attributed to the opcode that was shed.
+  // Shedding is attributed to the opcode that was shed, and the shed
+  // request's latency sample is in before its error frame goes out.
   EXPECT_EQ(mid.latency[static_cast<size_t>(Opcode::kSearch)].shed, 1u);
+  EXPECT_EQ(mid.latency[static_cast<size_t>(Opcode::kSearch)].count, 1u);
   EXPECT_EQ(mid.latency[static_cast<size_t>(Opcode::kStats)].shed, 0u);
 
   // Release the pool: the two admitted requests complete normally.
@@ -400,6 +422,10 @@ TEST_F(ServerTest, LiveBackendMutatesOverTheWire) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(WireValue(*stats, "qv_service_document_inserts_total"), 1);
   EXPECT_EQ(WireValue(*stats, "qv_service_document_removes_total"), 1);
+  EXPECT_EQ(WireValue(*stats, "qv_server_latency_us_count{opcode=\"Insert\"}"),
+            1);
+  EXPECT_EQ(WireValue(*stats, "qv_server_latency_us_count{opcode=\"Remove\"}"),
+            2);
   server.Stop();
 }
 
@@ -471,6 +497,44 @@ TEST_F(ServerTest, StatsTextIsPrometheusExposition) {
     EXPECT_NE(text->find(needle), std::string::npos) << needle << "\n" << *text;
   }
   EXPECT_EQ(WireValue(*text, "qv_service_queries_total"), 1);
+  EXPECT_EQ(WireValue(*text, "qv_server_latency_us_count{opcode=\"Search\"}"),
+            1);
+}
+
+// A reply is written only after its request is counted and logged, so a
+// client that reads its reply and then calls Stats on the same
+// connection always finds its own request there.
+TEST_F(ServerTest, StatsAfterAReplyIncludeThatRequest) {
+  ServerOptions options;
+  options.slow_query_threshold_us = 0;  // every request competes
+  options.slow_query_capacity = 128;  // holds all 100 requests
+  auto server = StartServer(options);
+  Client client = ConnectTo(*server);
+  ASSERT_TRUE(client.SetRecvTimeout(milliseconds(5000)).ok());
+  SearchRpcRequest request;
+  request.view = "default";
+  request.keywords = {"xml"};
+  for (int round = 1; round <= 50; ++round) {
+    auto response = client.Search(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    auto stats = client.Stats();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_EQ(
+        WireValue(*stats, "qv_server_latency_us_count{opcode=\"Search\"}"),
+        round)
+        << "round " << round;
+    size_t logged = 0;
+    for (size_t pos = stats->find("# slow_query latency_us=");
+         pos != std::string::npos;
+         pos = stats->find("# slow_query latency_us=", pos + 1)) {
+      const size_t eol = stats->find('\n', pos);
+      if (stats->substr(pos, eol - pos).find(" opcode=Search ") !=
+          std::string::npos) {
+        ++logged;
+      }
+    }
+    ASSERT_EQ(logged, static_cast<size_t>(round)) << "round " << round;
+  }
 }
 
 TEST_F(ServerTest, StatsRequestWithPayloadIsTypedParseError) {

@@ -3,7 +3,9 @@
 // truncation byte-offset of a torn tail recovers the committed prefix,
 // while mid-log corruption and sequence breaks stay loudly fatal — and
 // group commit batches concurrent appenders into fewer fdatasync calls
-// than records while applying their callbacks in sequence order.
+// than records while applying their callbacks in sequence order. Also
+// checks what LiveDatabase's WAL-mode insert applies: the document it
+// parsed before logging, moved to its root component.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -18,8 +20,12 @@
 #include <gtest/gtest.h>
 
 #include "common/sync.h"
+#include "index/index_builder.h"
 #include "pagestore/delta_log.h"
 #include "pagestore/wal.h"
+#include "storage/live_database.h"
+#include "xml/parser.h"
+#include "xml/serializer.h"
 
 namespace quickview::pagestore {
 namespace {
@@ -321,6 +327,82 @@ TEST(WalTest, DeltaPayloadRoundTripsThroughTheLog) {
   EXPECT_TRUE((*records)[1].tombstone);
   EXPECT_EQ((*records)[1].name, "a.xml");
   EXPECT_TRUE((*records)[1].xml.empty());
+}
+
+/// Every byte both indexes of one document hold, in key order: path
+/// rows, the distinct-path dictionary, and postings.
+std::vector<std::string> IndexBytes(const index::DocumentIndexes& indexes) {
+  std::vector<std::string> out;
+  indexes.path_index.ForEachRaw(
+      [&](const std::string& key, const std::string& value) {
+        out.push_back("row " + key + '\0' + value);
+      });
+  for (const std::string& path : indexes.path_index.distinct_path_list()) {
+    out.push_back("path " + path);
+  }
+  indexes.inverted_index.ForEachPosting(
+      [&](const std::string& term, const xml::DeweyId& id, uint32_t tf) {
+        out.push_back("posting " + term + ' ' + id.ToString() + ' ' +
+                      std::to_string(tf));
+      });
+  return out;
+}
+
+/// `name` in `live` is exactly `xml_text` parsed under `root`: the same
+/// tree, every id starting with `root`, and indexes equal to a fresh
+/// build.
+void ExpectInstalledAs(storage::LiveDatabase& live, const std::string& name,
+                       const std::string& xml_text, uint32_t root) {
+  qv::ReaderLock lock(live.mu());
+  const xml::Document* doc = live.database()->GetDocument(name);
+  ASSERT_NE(doc, nullptr) << name;
+  EXPECT_EQ(doc->root_component(), root) << name;
+  auto fresh = xml::ParseXml(xml_text, root);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_EQ(doc->size(), (*fresh)->size()) << name;
+  for (xml::NodeIndex i = 0; i < doc->size(); ++i) {
+    EXPECT_EQ(doc->node(i).id.component(0), root) << name;
+    EXPECT_EQ(doc->node(i).id, (*fresh)->node(i).id) << name;
+  }
+  EXPECT_EQ(xml::Serialize(*doc), xml::Serialize(**fresh)) << name;
+  const index::DocumentIndexes* indexes = live.indexes()->Get(name);
+  ASSERT_NE(indexes, nullptr) << name;
+  EXPECT_EQ(IndexBytes(*indexes),
+            IndexBytes(*index::BuildDocumentIndexes(**fresh)))
+      << name;
+}
+
+TEST(WalTest, LiveInsertsInstallTheDocumentParsedBeforeLogging) {
+  const std::string path = TestPath("wal_live_install.wal");
+  std::filesystem::remove(path);
+  const std::string a = "<books><book><title>xml</title></book></books>";
+  const std::string b1 =
+      "<reviews><review><isbn>1</isbn><content>good xml search</content>"
+      "</review></reviews>";
+  const std::string b2 =
+      "<reviews><review><isbn>2</isbn><content>better search</content>"
+      "</review><review><isbn>1</isbn><rate>5</rate></review></reviews>";
+  {
+    storage::LiveDatabase live;
+    ASSERT_TRUE(live.OpenWal(path).ok());
+    ASSERT_TRUE(live.CommitInsert("a.xml", a).ok());
+    // A new name: parsed under root 1 before logging, installed at 2.
+    ASSERT_TRUE(live.CommitInsert("b.xml", b1).ok());
+    ExpectInstalledAs(live, "b.xml", b1, 2);
+    // A replacement keeps the replaced document's root component.
+    ASSERT_TRUE(live.CommitInsert("b.xml", b2).ok());
+    ExpectInstalledAs(live, "a.xml", a, 1);
+    ExpectInstalledAs(live, "b.xml", b2, 2);
+    // Bad XML fails before anything is logged.
+    EXPECT_FALSE(live.CommitInsert("c.xml", "<unclosed>").ok());
+    EXPECT_EQ(live.wal()->appended_records(), 3u);
+  }
+  // Replay parses each record once more and lands in the same state.
+  storage::LiveDatabase replayed;
+  ASSERT_TRUE(replayed.OpenWal(path).ok());
+  ExpectInstalledAs(replayed, "a.xml", a, 1);
+  ExpectInstalledAs(replayed, "b.xml", b2, 2);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // SubtreeByteLength must equal the serialized size everywhere (it is the
 // len(e) of score normalization, so an off-by-one here silently breaks
 // Theorem 4.1 parity).
+#include <algorithm>
 #include <random>
 #include <set>
 #include <tuple>
@@ -84,10 +85,14 @@ TEST_P(XmlRoundTripProperty, IndexedTfMatchesTokenizerEverywhere) {
       ++direct[term];
     }
     for (const auto& [term, count] : direct) {
-      uint32_t tf = 0;
-      EXPECT_TRUE(indexes->inverted_index.Contains(term, doc->node(i).id,
-                                                   &tf));
-      EXPECT_EQ(tf, count) << term;
+      std::vector<index::Posting> postings =
+          indexes->inverted_index.Lookup(term);
+      auto it = std::find_if(postings.begin(), postings.end(),
+                             [&](const index::Posting& posting) {
+                               return posting.id == doc->node(i).id;
+                             });
+      ASSERT_NE(it, postings.end()) << term;
+      EXPECT_EQ(it->tf, count) << term;
     }
   }
 }
